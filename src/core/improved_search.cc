@@ -1,6 +1,8 @@
 #include "core/improved_search.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <unordered_set>
 
 #include "algo/core_decomposition.h"
@@ -117,13 +119,22 @@ class CandidatePool {
 
 /// O(1) upper bound on f(H \ {v}) for monotone aggregations: the cascade
 /// can only shrink the community further, which never raises the value.
+/// Every community's value is a fresh floating-point sum over its members,
+/// so the child's computed value can exceed the exact difference by the
+/// rounding of both sums, at most about |H| ulps of f(H). The allowance
+/// covers that; without it a child that ties f(L_r) could be pruned.
+/// It is the same for every child of H, so the bound still falls as the
+/// removed weight grows.
 double ChildValueBound(const AggregationSpec& spec, double parent_value,
-                       Weight removed_weight) {
+                       std::size_t parent_size, Weight removed_weight) {
+  const double rounding = static_cast<double>(parent_size + 2) *
+                          std::numeric_limits<double>::epsilon() *
+                          std::fabs(parent_value);
   switch (spec.kind) {
     case Aggregation::kSum:
-      return parent_value - removed_weight;
+      return parent_value - removed_weight + rounding;
     case Aggregation::kSumSurplus:
-      return parent_value - removed_weight - spec.alpha;
+      return parent_value - removed_weight - spec.alpha + rounding;
     default:
       TICL_CHECK_MSG(false, "ChildValueBound requires a monotone spec");
       return 0.0;
@@ -183,6 +194,7 @@ SearchResult ImprovedSearch(const Graph& g, const Query& query,
 
   // Expansion loop (Lines 7-19).
   VertexList parent_members;
+  VertexList visit_order;
   for (;;) {
     const std::size_t pick = pool.NextUnexpanded(options.best_first);
     if (pick == CandidatePool::kNone) break;  // exact fixpoint reached
@@ -218,13 +230,24 @@ SearchResult ImprovedSearch(const Graph& g, const Query& query,
     result.stats.peak_frontier =
         std::max<std::uint64_t>(result.stats.peak_frontier, unexpanded + 1);
 
-    for (const VertexId v : parent_members) {
+    // Visit by ascending weight, ties by ascending id: the Line-13 bound
+    // f(H) - w(v) is then non-increasing along the visit while f(L_r) never
+    // decreases, so the first pruned member prunes every member after it.
+    visit_order = parent_members;
+    std::sort(visit_order.begin(), visit_order.end(),
+              [&g](VertexId a, VertexId b) {
+                const Weight wa = g.weight(a);
+                const Weight wb = g.weight(b);
+                return wa < wb || (wa == wb && a < b);
+              });
+    for (std::size_t i = 0; i < visit_order.size(); ++i) {
+      const VertexId v = visit_order[i];
       // Line 13 pruning: O(1) bound before the O(n + m) peel.
-      const double bound =
-          ChildValueBound(query.aggregation, parent_value, g.weight(v));
+      const double bound = ChildValueBound(
+          query.aggregation, parent_value, visit_order.size(), g.weight(v));
       if (options.enable_bound_pruning && bound < pool.Threshold()) {
-        ++result.stats.candidates_pruned;
-        continue;
+        result.stats.candidates_pruned += visit_order.size() - i;
+        break;
       }
       ++result.stats.peel_operations;
       for (VertexList& child :

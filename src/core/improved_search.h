@@ -10,7 +10,20 @@
 // Monotonicity (Corollary 2) gives two prunings:
 //   * a child whose O(1) value upper bound f(L_max) - contribution(v)
 //     cannot beat the current r-th value f(L_r) is skipped without peeling
-//     (the paper's Line 13 test);
+//     (the paper's Line 13 test). The members of L_max are visited by
+//     ascending weight, ties by ascending id. Along that order the bound
+//     never increases, and f(L_r) never decreases as children enter L, so
+//     the first member that fails the strict test `bound < f(L_r)` ends the
+//     expansion: every member after it would fail too. The early children
+//     raise f(L_r) quickly, so an expansion usually peels a few members
+//     instead of all of L_max. Exactness is unaffected: a child that
+//     belongs in the final top-r has value >= f(L_r) at every moment, so
+//     its bound passes whenever it is tested, whatever the order. Ties in
+//     weight therefore cannot change the result; the id tie-break only
+//     makes the visit, and so the peel counters, deterministic. The bound
+//     carries a small floating-point rounding allowance so that a child
+//     whose recomputed value ties f(L_r) is never pruned. The skipped
+//     members count as candidates_pruned;
 //   * candidates evicted from L can never re-enter the top-r, so L *is*
 //     the complete frontier — memory stays at O(r) communities.
 // With epsilon > 0 the loop stops as soon as L already holds r candidates
@@ -36,7 +49,9 @@ struct ImprovedOptions {
   bool enable_bound_pruning = true;
   /// Ablation: expand candidates in FIFO order instead of best-first.
   /// Exactness is unaffected (the top-r fixpoint is order-independent);
-  /// the number of expansions is not.
+  /// the number of expansions is not. Either way, each expanded
+  /// candidate's members are visited by ascending weight and the visit
+  /// stops at the first pruned bound (see the file comment).
   bool best_first = true;
   /// Optional precomputed index for the queried graph; replaces the
   /// seeding decomposition (Lines 1-2) without changing the result.

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <unordered_set>
+#include <vector>
 
-#include "algo/connectivity.h"
 #include "util/top_r_list.h"
 
 namespace ticl {
@@ -15,10 +16,48 @@ std::string Describe(const char* what, std::size_t index) {
   return std::string(what) + " (community #" + std::to_string(index) + ")";
 }
 
-}  // namespace
+constexpr std::uint8_t kMember = 1;
+constexpr std::uint8_t kReached = 2;
 
-std::string ValidateCommunity(const Graph& g, const VertexList& members,
-                              VertexId k, VertexId size_limit) {
+/// Induced minimum degree >= k and connectivity of `members`, all of which
+/// are marked kMember in `mark`. The connectivity walk re-marks what it
+/// reaches as kReached.
+std::string CheckInducedSubgraph(const Graph& g, const VertexList& members,
+                                 VertexId k, std::vector<std::uint8_t>& mark) {
+  for (const VertexId v : members) {
+    VertexId deg = 0;
+    for (const VertexId nbr : g.neighbors(v)) {
+      if (mark[nbr] != 0) ++deg;
+    }
+    if (deg < k) {
+      return "vertex " + std::to_string(v) + " has induced degree " +
+             std::to_string(deg) + " < k=" + std::to_string(k);
+    }
+  }
+
+  std::vector<VertexId> stack{members.front()};
+  mark[members.front()] = kReached;
+  std::size_t reached = 1;
+  while (!stack.empty()) {
+    const VertexId v = stack.back();
+    stack.pop_back();
+    for (const VertexId nbr : g.neighbors(v)) {
+      if (mark[nbr] == kMember) {
+        mark[nbr] = kReached;
+        ++reached;
+        stack.push_back(nbr);
+      }
+    }
+  }
+  if (reached != members.size()) return "community not connected";
+  return "";
+}
+
+/// ValidateCommunity over a caller-owned membership array of
+/// g.num_vertices() zeros, which is all zeros again on return.
+std::string CheckCommunity(const Graph& g, const VertexList& members,
+                           VertexId k, VertexId size_limit,
+                           std::vector<std::uint8_t>& mark) {
   if (members.empty()) return "community is empty";
   if (!std::is_sorted(members.begin(), members.end())) {
     return "members not sorted";
@@ -31,21 +70,18 @@ std::string ValidateCommunity(const Graph& g, const VertexList& members,
     return "size limit exceeded";
   }
 
-  // Induced minimum degree >= k.
-  std::unordered_set<VertexId> in_set(members.begin(), members.end());
-  for (const VertexId v : members) {
-    VertexId deg = 0;
-    for (const VertexId nbr : g.neighbors(v)) {
-      if (in_set.contains(nbr)) ++deg;
-    }
-    if (deg < k) {
-      return "vertex " + std::to_string(v) + " has induced degree " +
-             std::to_string(deg) + " < k=" + std::to_string(k);
-    }
-  }
+  for (const VertexId v : members) mark[v] = kMember;
+  std::string problem = CheckInducedSubgraph(g, members, k, mark);
+  for (const VertexId v : members) mark[v] = 0;
+  return problem;
+}
 
-  if (!IsSubsetConnected(g, members)) return "community not connected";
-  return "";
+}  // namespace
+
+std::string ValidateCommunity(const Graph& g, const VertexList& members,
+                              VertexId k, VertexId size_limit) {
+  std::vector<std::uint8_t> mark(g.num_vertices(), 0);
+  return CheckCommunity(g, members, k, size_limit, mark);
 }
 
 std::string ValidateResult(const Graph& g, const Query& query,
@@ -57,10 +93,11 @@ std::string ValidateResult(const Graph& g, const Query& query,
   }
 
   std::unordered_set<std::uint64_t> hashes;
+  std::vector<std::uint8_t> mark(g.num_vertices(), 0);
   for (std::size_t i = 0; i < result.communities.size(); ++i) {
     const Community& c = result.communities[i];
     const std::string problem =
-        ValidateCommunity(g, c.members, query.k, query.size_limit);
+        CheckCommunity(g, c.members, query.k, query.size_limit, mark);
     if (!problem.empty()) return Describe(problem.c_str(), i);
 
     const double recomputed =

@@ -2,6 +2,10 @@
 // monotone aggregations (Algorithm 1, Algorithm 2, and subset enumeration)
 // must agree on random graphs, and every solver's output must validate.
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "algo/weights.h"
@@ -90,6 +94,72 @@ TEST_P(SumCrossCheckTest, ImprovedAblationsAgree) {
   ExpectSameCommunities(reference,
                         ImprovedSearch(g, query, fifo_no_pruning),
                         "fifo-no-pruning");
+}
+
+// Tied weights: many members of one parent share a Line-13 bound, so the
+// bound-ordered expansion's id tie-break and its break at bound == f(L_r)
+// decide which members are peeled; many communities share one value, so
+// the hash tie-break decides the ranking. None of it may change a result.
+TEST_P(SumCrossCheckTest, TiedWeightsImprovedEqualsNaive) {
+  const std::uint64_t seed = GetParam();
+  const Graph base = GenerateErdosRenyi(60, 160, seed);
+  std::vector<std::pair<std::string, Graph>> graphs;
+  for (const WeightScheme scheme :
+       {WeightScheme::kDegree, WeightScheme::kCoreNumber}) {
+    Graph g = base;
+    AssignWeights(&g, scheme);
+    graphs.emplace_back(WeightSchemeName(scheme), std::move(g));
+  }
+  Graph equal = base;
+  equal.SetWeights(std::vector<Weight>(base.num_vertices(), 1.0));
+  graphs.emplace_back("all-equal", std::move(equal));
+
+  for (const auto& [weights, g] : graphs) {
+    for (const auto spec :
+         {AggregationSpec::Sum(), AggregationSpec::SumSurplus(0.5),
+          AggregationSpec::SumSurplus(2.0)}) {
+      for (const VertexId k : {2u, 3u}) {
+        for (const std::uint32_t r : {1u, 4u, 8u}) {
+          Query query;
+          query.k = k;
+          query.r = r;
+          query.aggregation = spec;
+          const std::string label =
+              weights + " " + AggregationFormula(spec) +
+              " k=" + std::to_string(k) + " r=" + std::to_string(r) +
+              " seed=" + std::to_string(seed);
+          const SearchResult improved = ImprovedSearch(g, query);
+          ExpectSameCommunities(NaiveSearch(g, query), improved, label);
+          EXPECT_EQ(ValidateResult(g, query, improved), "") << label;
+
+          ImprovedOptions no_pruning;
+          no_pruning.enable_bound_pruning = false;
+          ExpectSameCommunities(improved,
+                                ImprovedSearch(g, query, no_pruning),
+                                label + " no-pruning");
+          ImprovedOptions fifo;
+          fifo.best_first = false;
+          ExpectSameCommunities(improved, ImprovedSearch(g, query, fifo),
+                                label + " fifo");
+
+          // Theorem 6: the approximate r-th value is within (1 - eps) of
+          // the exact one.
+          for (const double epsilon : {0.1, 0.5}) {
+            ImprovedOptions approx;
+            approx.epsilon = epsilon;
+            const SearchResult loose = ImprovedSearch(g, query, approx);
+            EXPECT_EQ(ValidateResult(g, query, loose), "") << label;
+            ASSERT_EQ(loose.communities.size(), improved.communities.size())
+                << label << " eps=" << epsilon;
+            if (improved.communities.empty()) continue;
+            EXPECT_GE(loose.communities.back().influence,
+                      (1.0 - epsilon) * improved.communities.back().influence)
+                << label << " eps=" << epsilon;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST_P(SumCrossCheckTest, ImprovedEqualsExactEnumerationOnTinyGraphs) {

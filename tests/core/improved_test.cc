@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "algo/weights.h"
 #include "core/naive_search.h"
 #include "core/verification.h"
+#include "gen/chung_lu.h"
 #include "testing/builders.h"
 
 namespace ticl {
@@ -135,6 +137,36 @@ TEST(ImprovedSearchTest, SumSurplusMatchesNaive) {
     EXPECT_DOUBLE_EQ(improved.communities[i].influence,
                      naive.communities[i].influence);
   }
+}
+
+TEST(ImprovedSearchTest, PeelCountStaysSmallOnPowerLawGraph) {
+  // Visiting a parent's members in id order peels every member whose
+  // bound passes before f(L_r) has risen: 99 peels here. Visiting them by
+  // ascending weight and stopping at the first pruned bound needs 12.
+  Graph g = GenerateChungLu({4000, 12.0, 2.5, 7});
+  AssignWeights(&g, WeightScheme::kUniform, 8);
+  const Query query = SumQuery(10, 5);
+  const SearchResult result = ImprovedSearch(g, query);
+  ASSERT_EQ(result.communities.size(), 5u);
+  EXPECT_LE(result.stats.peel_operations, 40u);
+
+  // Both runs expand the same parents (the pool after each expansion is
+  // the top-r of what either has generated), so the unpruned run peels
+  // every member of every expanded parent once. Each member the pruned run
+  // did not peel must be counted as pruned, on top of at most one pool
+  // rejection per generated candidate.
+  ImprovedOptions no_pruning;
+  no_pruning.enable_bound_pruning = false;
+  const SearchResult unpruned = ImprovedSearch(g, query, no_pruning);
+  ASSERT_EQ(unpruned.communities.size(), result.communities.size());
+  for (std::size_t i = 0; i < result.communities.size(); ++i) {
+    EXPECT_EQ(unpruned.communities[i].members, result.communities[i].members);
+  }
+  const std::uint64_t skipped =
+      unpruned.stats.peel_operations - result.stats.peel_operations;
+  EXPECT_GE(result.stats.candidates_pruned, skipped);
+  EXPECT_LE(result.stats.candidates_pruned,
+            skipped + result.stats.candidates_generated);
 }
 
 TEST(ImprovedSearchDeathTest, RejectsAvg) {
