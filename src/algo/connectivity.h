@@ -1,6 +1,7 @@
 // Connectivity primitives: whole-graph components, components of a vertex
-// subset, and bounded BFS neighbourhood collection (the "s-nearest
-// neighbours" primitive of the paper's local search).
+// subset, the "connected k-core" test of a small vertex set, and bounded BFS
+// neighbourhood collection (the "s-nearest neighbours" primitive of the
+// paper's local search).
 
 #ifndef TICL_ALGO_CONNECTIVITY_H_
 #define TICL_ALGO_CONNECTIVITY_H_
@@ -34,11 +35,23 @@ std::vector<VertexList> ComponentsOfSubset(const Graph& g,
 /// singletons count as connected).
 bool IsSubsetConnected(const Graph& g, const VertexList& members);
 
+/// True if `sorted_members` induces a connected subgraph of minimum degree
+/// >= k (Definition 3's structure test; empty sets and singletons count as
+/// connected). Precondition: `sorted_members` is sorted ascending and
+/// duplicate-free. Every adjacency test walks the shorter of a member's
+/// adjacency list and the member list and binary-searches the longer, so a
+/// call costs O(sum over members of min(deg, |C|) * log) and never scans a
+/// hub's whole list: local search asks this of many small prefixes that
+/// contain the graph's highest-degree vertices.
+bool IsConnectedKCore(const Graph& g, std::span<const VertexId> sorted_members,
+                      VertexId k);
+
 /// Collects up to `limit` vertices in BFS order from `seed` (seed included,
 /// distance ties broken by adjacency order, which is ascending vertex id).
 /// `allowed` filters which vertices may be visited; it must accept the seed.
 /// This realizes the paper's s-nearest-neighbour expansion: when the 1-hop
-/// ball is too small the search continues to 2 hops and beyond.
+/// ball is too small the search continues to 2 hops and beyond. Scratch
+/// memory grows with the vertices collected, never with the graph.
 VertexList CollectNearestNeighbors(
     const Graph& g, VertexId seed, std::size_t limit,
     const std::function<bool(VertexId)>& allowed);

@@ -15,7 +15,11 @@ SubsetPeeler::SubsetPeeler(const Graph& g)
 
 std::size_t SubsetPeeler::BeginEpoch(const VertexList& members,
                                      VertexId skip) {
-  ++epoch_;
+  if (++epoch_ == 0) {
+    std::fill(epoch_of_.begin(), epoch_of_.end(), 0);
+    std::fill(visit_epoch_of_.begin(), visit_epoch_of_.end(), 0);
+    epoch_ = 1;
+  }
   std::size_t working = 0;
   for (const VertexId v : members) {
     if (v == skip) continue;

@@ -56,14 +56,18 @@ class SubsetPeeler {
     return epoch_of_[v] == epoch_ && alive_[v];
   }
 
+  friend class SubsetPeelerTestPeer;  // forces the stamp counter to wrap
+
   const Graph* g_;
-  std::uint64_t epoch_ = 0;
-  std::vector<std::uint64_t> epoch_of_;
+  // 32-bit stamps keep the peeler at 13 bytes per vertex. When the counter
+  // wraps, BeginEpoch clears both stamp arrays and restarts it at 1.
+  std::uint32_t epoch_ = 0;
+  std::vector<std::uint32_t> epoch_of_;
   std::vector<std::uint8_t> alive_;
   std::vector<VertexId> local_deg_;
   std::vector<VertexId> queue_;
   // Component-split scratch (second stamp so Cascade state is preserved).
-  std::vector<std::uint64_t> visit_epoch_of_;
+  std::vector<std::uint32_t> visit_epoch_of_;
   std::size_t last_cascade_size_ = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "core/exact_search.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "algo/connectivity.h"
 #include "algo/core_decomposition.h"
@@ -30,18 +29,6 @@ std::uint64_t CountSubsetsClamped(std::uint64_t n, std::uint64_t max_size,
     if (total > cap) return cap + 1;
   }
   return total;
-}
-
-/// True if `members` (sorted) induces a min-degree >= k connected subgraph.
-bool IsConnectedKCore(const Graph& g, const VertexList& members, VertexId k) {
-  for (const VertexId v : members) {
-    VertexId deg = 0;
-    for (const VertexId nbr : g.neighbors(v)) {
-      if (std::binary_search(members.begin(), members.end(), nbr)) ++deg;
-    }
-    if (deg < k) return false;
-  }
-  return IsSubsetConnected(g, members);
 }
 
 struct EnumerationOutput {

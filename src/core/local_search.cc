@@ -60,6 +60,14 @@ class PrefixEvaluator {
     return out;
   }
 
+  /// Current candidate members sorted ascending, the form IsConnectedKCore
+  /// (the "C is a connected k-core" test of the strategy procedures) takes.
+  VertexList SortedMembers() const {
+    VertexList out = Members();
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
  private:
   struct Frame {
     VertexId vertex;
@@ -69,20 +77,6 @@ class PrefixEvaluator {
   AggregationSpec spec_;
   std::vector<Frame> stack_;
 };
-
-/// "C is a k-core" test from the strategy procedures, completed with the
-/// connectivity requirement of Definition 3.
-bool IsConnectedKCore(const Graph& g, VertexList members, VertexId k) {
-  std::sort(members.begin(), members.end());
-  for (const VertexId v : members) {
-    VertexId deg = 0;
-    for (const VertexId nbr : g.neighbors(v)) {
-      if (std::binary_search(members.begin(), members.end(), nbr)) ++deg;
-    }
-    if (deg < k) return false;
-  }
-  return IsSubsetConnected(g, members);
-}
 
 /// Shared accept-side state for both strategies.
 struct Acceptor {
@@ -158,7 +152,7 @@ void RunSumStrategy(const Graph& g, const Query& query,
   for (const VertexId v : neighbourhood) eval->Push(v);
   while (eval->size() > query.k && eval->Value() > acceptor->Threshold()) {
     ++acceptor->stats->peel_operations;
-    if (IsConnectedKCore(g, eval->Members(), query.k)) {
+    if (IsConnectedKCore(g, eval->SortedMembers(), query.k)) {
       acceptor->Accept(eval->Members());
       return;
     }
@@ -182,7 +176,7 @@ void RunAvgStrategy(const Graph& g, const Query& query, bool greedy,
     if (value <= acceptor->Threshold()) continue;
     if (!greedy && value <= best_value) continue;
     ++acceptor->stats->peel_operations;
-    if (!IsConnectedKCore(g, eval->Members(), query.k)) continue;
+    if (!IsConnectedKCore(g, eval->SortedMembers(), query.k)) continue;
     if (greedy) {
       acceptor->Accept(eval->Members());
       return;

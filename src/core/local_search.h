@@ -15,6 +15,14 @@
 //     candidate vertex by vertex and test every prefix of size > k; greedy
 //     accepts the first qualifying prefix, random keeps the best one.
 //
+// Cost: every candidate C is tested with IsConnectedKCore
+// (algo/connectivity.h) in O(sum over v in C of min(deg v, |C|) * log),
+// so a hub in C costs O(|C| log deg), never its whole adjacency list; the
+// neighbourhood BFS's visited set grows with the vertices it collects.
+// Per-seed work therefore follows the neighbourhood, not the degrees of
+// the hubs inside it. Each prefix is tested from scratch, so a seed with
+// an s_eff-vertex neighbourhood may run up to s_eff - k such tests.
+//
 // Documented deviations from the paper's listing (DESIGN.md §3.4): the
 // result list starts empty rather than holding the oversized k-core
 // components, candidates must be connected (Definition 3 requires it), and

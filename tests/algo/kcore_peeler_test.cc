@@ -1,6 +1,8 @@
 #include "algo/kcore_peeler.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,15 @@
 #include "util/rng.h"
 
 namespace ticl {
+
+/// Moves a peeler's stamp counter so tests can drive it across the wrap.
+class SubsetPeelerTestPeer {
+ public:
+  static void SetEpoch(SubsetPeeler* peeler, std::uint32_t epoch) {
+    peeler->epoch_ = epoch;
+  }
+};
+
 namespace {
 
 using testing::Members;
@@ -101,6 +112,34 @@ TEST(SubsetPeelerTest, ReusableAcrossEpochs) {
     EXPECT_EQ(peeler.Peel(Members({6, 7, 8, 9}), 3),
               Members({6, 7, 8, 9}));
     EXPECT_EQ(peeler.Peel(Members({0, 1, 2}), 2), Members({0, 1, 2}));
+  }
+}
+
+TEST(SubsetPeelerTest, StampCounterWrapMatchesFreshPeeler) {
+  // Early epochs leave stamps 1, 2, ... behind; after the counter is moved
+  // to the top of its range, the wrap must not let those stale stamps
+  // count as members of a later working set.
+  const Graph g = GenerateErdosRenyi(80, 260, 5);
+  SubsetPeeler peeler(g);
+  Rng rng(17);
+  std::vector<VertexList> subsets;
+  for (int i = 0; i < 12; ++i) {
+    VertexList members;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      if (rng.NextBernoulli(0.6)) members.push_back(v);
+    }
+    subsets.push_back(std::move(members));
+  }
+  for (int i = 0; i < 4; ++i) peeler.PeelAndSplit(subsets[i], 2);
+  SubsetPeelerTestPeer::SetEpoch(&peeler,
+                                 std::numeric_limits<std::uint32_t>::max() - 2);
+  for (const VertexList& members : subsets) {
+    SubsetPeeler fresh(g);
+    for (const VertexId k : {2u, 3u}) {
+      EXPECT_EQ(peeler.PeelAndSplit(members, k),
+                fresh.PeelAndSplit(members, k));
+      EXPECT_EQ(peeler.Peel(members, k), ReferencePeel(g, members, k));
+    }
   }
 }
 

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "algo/weights.h"
 #include "core/exact_search.h"
 #include "core/verification.h"
+#include "gen/chung_lu.h"
 #include "gen/planted_communities.h"
 #include "testing/builders.h"
+#include "util/fnv1a.h"
 
 namespace ticl {
 namespace {
@@ -184,6 +189,119 @@ TEST(LocalSearchTest, NoKCoreYieldsEmpty) {
   const SearchResult result =
       LocalSearch(g, MakeQuery(4, 2, 5, AggregationSpec::Sum()));
   EXPECT_TRUE(result.communities.empty());
+}
+
+/// Folds one answer into `h`: every community's members and influence
+/// bits, then the SearchStats counters (elapsed time aside).
+void FoldResult(const SearchResult& result, Fnv1a* h) {
+  const auto fold_u64 = [h](std::uint64_t x) { h->Update(&x, sizeof x); };
+  fold_u64(result.communities.size());
+  for (const Community& c : result.communities) {
+    fold_u64(c.members.size());
+    h->Update(c.members.data(), c.members.size() * sizeof(VertexId));
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &c.influence, sizeof bits);
+    fold_u64(bits);
+  }
+  fold_u64(result.stats.candidates_generated);
+  fold_u64(result.stats.candidates_pruned);
+  fold_u64(result.stats.peel_operations);
+  fold_u64(result.stats.duplicates_skipped);
+  fold_u64(result.stats.seeds_processed);
+}
+
+// Golden answers on a hub-heavy power-law graph (hub degrees far above any
+// neighbourhood size). Each row folds k x r x s answers of one aggregation,
+// TIC/TONIC and greedy/random configuration, counters included, so a
+// faster k-core test or neighbourhood BFS that alters any answer or
+// counter shows here. Balanced density is left out: it needs
+// w(H) above half of w(V), which no neighbourhood here reaches, so every
+// answer would be empty without a single k-core test.
+TEST(LocalSearchGoldenTest, HubHeavyGridMatchesPinnedHashes) {
+  ChungLuOptions options;
+  options.num_vertices = 1500;
+  options.target_average_degree = 16.0;
+  options.gamma = 2.1;
+  options.seed = 11;
+  Graph g = GenerateChungLu(options);
+  AssignWeights(&g, WeightScheme::kPageRank);
+  ASSERT_GT(g.max_degree(), 150u);  // hubs dwarf every s below
+
+  struct Row {
+    const char* name;
+    AggregationSpec spec;
+    bool tonic;
+    bool greedy;
+    std::uint64_t expected;
+  };
+  const Row rows[] = {
+      {"min", AggregationSpec::Min(), false, true,
+       0x5bab39bc9469cd24ULL},
+      {"min", AggregationSpec::Min(), false, false,
+       0xeb0cbd54732d5baULL},
+      {"min", AggregationSpec::Min(), true, true,
+       0x4099b3dbff392d9eULL},
+      {"min", AggregationSpec::Min(), true, false,
+       0x238c1826f9d17e0ULL},
+      {"max", AggregationSpec::Max(), false, true,
+       0xf0ee53f235d41493ULL},
+      {"max", AggregationSpec::Max(), false, false,
+       0x2c08d436bc7d9312ULL},
+      {"max", AggregationSpec::Max(), true, true,
+       0x6530c1716f503045ULL},
+      {"max", AggregationSpec::Max(), true, false,
+       0xf8b75e5978914a0aULL},
+      {"sum", AggregationSpec::Sum(), false, true,
+       0x94c6a936ab3c483dULL},
+      {"sum", AggregationSpec::Sum(), false, false,
+       0x94c6a936ab3c483dULL},
+      {"sum", AggregationSpec::Sum(), true, true,
+       0x5359fe7ec115cd6aULL},
+      {"sum", AggregationSpec::Sum(), true, false,
+       0x2af5f31e86e678e2ULL},
+      {"sum-surplus", AggregationSpec::SumSurplus(0.7), false, true,
+       0xa68a62e3b7ca71d2ULL},
+      {"sum-surplus", AggregationSpec::SumSurplus(0.7), false, false,
+       0xa68a62e3b7ca71d2ULL},
+      {"sum-surplus", AggregationSpec::SumSurplus(0.7), true, true,
+       0xf913865157b0205bULL},
+      {"sum-surplus", AggregationSpec::SumSurplus(0.7), true, false,
+       0x60222eed12cb27cdULL},
+      {"avg", AggregationSpec::Avg(), false, true,
+       0xa495c12994bac5c2ULL},
+      {"avg", AggregationSpec::Avg(), false, false,
+       0x6b3b29575d176c8fULL},
+      {"avg", AggregationSpec::Avg(), true, true,
+       0xa77dedbc87d161d4ULL},
+      {"avg", AggregationSpec::Avg(), true, false,
+       0xd2d5f3898f4416f5ULL},
+      {"weight-density", AggregationSpec::WeightDensity(1.5), false, true,
+       0xb945af02ab808d4dULL},
+      {"weight-density", AggregationSpec::WeightDensity(1.5), false, false,
+       0x4cda0da0a8004f12ULL},
+      {"weight-density", AggregationSpec::WeightDensity(1.5), true, true,
+       0x6e64dd7c67aa3283ULL},
+      {"weight-density", AggregationSpec::WeightDensity(1.5), true, false,
+       0x4d69e5728219d48aULL},
+  };
+  for (const Row& row : rows) {
+    Fnv1a h;
+    for (const VertexId k : {3u, 6u}) {
+      for (const std::uint32_t r : {1u, 5u}) {
+        for (const VertexId extra : {0u, 4u, 12u}) {
+          Query query = MakeQuery(k, r, extra == 0 ? 0 : k + extra, row.spec);
+          query.non_overlapping = row.tonic;
+          LocalSearchOptions ls_options;
+          ls_options.greedy = row.greedy;
+          FoldResult(LocalSearch(g, query, ls_options), &h);
+        }
+      }
+    }
+    EXPECT_EQ(h.Digest(), row.expected)
+        << row.name << (row.tonic ? " TONIC" : " TIC")
+        << (row.greedy ? " greedy" : " random") << ": got 0x" << std::hex
+        << h.Digest() << "ULL";
+  }
 }
 
 TEST(LocalSearchDeathTest, RejectsInvalidQuery) {
