@@ -108,6 +108,25 @@ std::string AggregationName(Aggregation kind) {
   return "";
 }
 
+bool ParseAggregation(const std::string& name, double alpha, double beta,
+                      AggregationSpec* spec) {
+  // Driven by AggregationName so a new Aggregation only needs the switch
+  // above updated.
+  static constexpr Aggregation kAll[] = {
+      Aggregation::kMin,           Aggregation::kMax,
+      Aggregation::kSum,           Aggregation::kSumSurplus,
+      Aggregation::kAvg,           Aggregation::kWeightDensity,
+      Aggregation::kBalancedDensity};
+  for (const Aggregation kind : kAll) {
+    if (name == AggregationName(kind)) {
+      *spec = {kind, kind == Aggregation::kSumSurplus ? alpha : 0.0,
+               kind == Aggregation::kWeightDensity ? beta : 0.0};
+      return true;
+    }
+  }
+  return false;
+}
+
 std::string AggregationFormula(const AggregationSpec& spec) {
   char buf[96];
   switch (spec.kind) {

@@ -104,6 +104,12 @@ std::string HardnessClass(const AggregationSpec& spec);
 /// "balanced-density".
 std::string AggregationName(Aggregation kind);
 
+/// Inverse of AggregationName: resolves a CLI/wire aggregation name into
+/// `spec`, taking `alpha` for sum-surplus and `beta` for weight density
+/// (the other kinds carry no parameter). False for an unknown name.
+bool ParseAggregation(const std::string& name, double alpha, double beta,
+                      AggregationSpec* spec);
+
 /// Human-readable formula, e.g. "w(H) + 1.5|H|".
 std::string AggregationFormula(const AggregationSpec& spec);
 

@@ -28,8 +28,6 @@ CacheEntryMeta MetaFor(const Query& query) {
 ResultCacheOptions CacheOptionsFor(const EngineOptions& options) {
   ResultCacheOptions cache;
   cache.member_budget = options.cache_member_budget;
-  cache.ttl_ms = options.cache_ttl_ms;
-  cache.clock_for_test = options.cache_clock_for_test;
   return cache;
 }
 
@@ -386,7 +384,6 @@ EngineStats QueryEngine::stats() const {
   const ResultCacheCounters& cache = cache_.counters();
   out.cache_evictions = cache.evictions;
   out.cache_negative_hits = cache.negative_hits;
-  out.cache_expired = cache.expired;
   out.cache_partial_kept = cache.partial_kept;
   out.cache_partial_evicted = cache.partial_evicted;
   out.cache_charge = cache_.charge();

@@ -77,10 +77,6 @@ struct EngineOptions {
   /// A single result larger than the whole budget is not cached at all
   /// (counted in EngineStats::cache_uncacheable). 0 disables caching.
   std::size_t cache_member_budget = 1u << 20;
-  /// Per-entry TTL in milliseconds (0 = cached answers never expire).
-  /// Useful when the serving graph is refreshed out of band and bounded
-  /// staleness is acceptable; expiry is lazy, on lookup.
-  std::uint64_t cache_ttl_ms = 0;
   /// When true (default), ApplyDelta evicts only the cache entries whose
   /// k-level the delta could have perturbed; false restores the
   /// wholesale clear (operator kill-switch, and the baseline the cache
@@ -93,9 +89,6 @@ struct EngineOptions {
   /// cache-miss Solve() runs. Lets the dedup tests hold a solve open
   /// deterministically. Never set this in production.
   std::function<void()> solve_started_hook_for_test;
-  /// Test seam: time source for cache TTL, so expiry tests advance a fake
-  /// clock instead of sleeping. Never set this in production.
-  CacheClock cache_clock_for_test;
 };
 
 struct EngineStats {
@@ -121,9 +114,6 @@ struct EngineStats {
   /// Hits served from a negative (zero-community) entry — a subset of
   /// cache_hits.
   std::uint64_t cache_negative_hits = 0;
-  /// Lookups that found an entry past its TTL (dropped; the query then
-  /// counts as a miss).
-  std::uint64_t cache_expired = 0;
   /// Partial-invalidation outcomes across all deltas: entries a delta
   /// provably could not have changed (kept, still servable) vs entries
   /// evicted because the keep rule could not prove them safe.

@@ -389,21 +389,7 @@ bool ParseQueryFields(const std::vector<Field>& fields, Query* query,
   if (!ReadFinite(fields, "beta", &beta, error)) return false;
   std::string f = "sum";
   if (!ReadString(fields, "f", &f, error)) return false;
-  if (f == "min") {
-    query->aggregation = AggregationSpec::Min();
-  } else if (f == "max") {
-    query->aggregation = AggregationSpec::Max();
-  } else if (f == "sum") {
-    query->aggregation = AggregationSpec::Sum();
-  } else if (f == "sum-surplus") {
-    query->aggregation = AggregationSpec::SumSurplus(alpha);
-  } else if (f == "avg") {
-    query->aggregation = AggregationSpec::Avg();
-  } else if (f == "weight-density") {
-    query->aggregation = AggregationSpec::WeightDensity(beta);
-  } else if (f == "balanced-density") {
-    query->aggregation = AggregationSpec::BalancedDensity();
-  } else {
+  if (!ParseAggregation(f, alpha, beta, &query->aggregation)) {
     *error = "unknown aggregation: " + f;
     return false;
   }

@@ -22,40 +22,12 @@ std::size_t ResultCharge(const SearchResult& result) {
 }  // namespace
 
 ResultCache::ResultCache(const ResultCacheOptions& options)
-    : member_budget_(options.member_budget),
-      ttl_ms_(options.ttl_ms),
-      clock_(options.clock_for_test) {}
-
-std::chrono::steady_clock::time_point ResultCache::Now() const {
-  return clock_ ? clock_() : std::chrono::steady_clock::now();
-}
-
-std::chrono::steady_clock::time_point ResultCache::ExpiryFromNow() const {
-  using TimePoint = std::chrono::steady_clock::time_point;
-  if (ttl_ms_ == 0) return TimePoint::max();
-  const TimePoint now = Now();
-  // Saturate instead of overflowing: a TTL too large for the clock's
-  // representation means "effectively never expires" — wrapping would
-  // instead land the deadline in the past and keep the cache forever
-  // cold.
-  const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
-      TimePoint::max() - now);
-  if (headroom.count() <= 0 ||
-      ttl_ms_ >= static_cast<std::uint64_t>(headroom.count())) {
-    return TimePoint::max();
-  }
-  return now + std::chrono::milliseconds(ttl_ms_);
-}
+    : member_budget_(options.member_budget) {}
 
 std::shared_ptr<const SearchResult> ResultCache::Lookup(
     const std::string& key) {
   const auto it = map_.find(key);
   if (it == map_.end()) return nullptr;
-  if (ttl_ms_ != 0 && Now() >= it->second->expires_at) {
-    ++counters_.expired;
-    EraseEntry(it->second);
-    return nullptr;
-  }
   lru_.splice(lru_.begin(), lru_, it->second);  // bump to MRU
   if (it->second->result->communities.empty()) ++counters_.negative_hits;
   return it->second->result;
@@ -69,8 +41,7 @@ ResultCache::InsertOutcome ResultCache::Insert(
   if (map_.find(key) != map_.end()) return InsertOutcome::kDuplicate;
   const std::size_t charge = ResultCharge(*result);
   if (charge > member_budget_) return InsertOutcome::kUncacheable;
-  lru_.push_front(Entry{key, meta, std::move(result), charge,
-                        ExpiryFromNow()});
+  lru_.push_front(Entry{key, meta, std::move(result), charge});
   map_.emplace(key, lru_.begin());
   charge_ += charge;
   while (charge_ > member_budget_) {

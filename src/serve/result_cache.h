@@ -6,10 +6,10 @@
 //
 //   * the finished-result store — a size-aware LRU (entries charged by
 //     total member count, so a few graph-sized answers cannot blow the
-//     memory budget) with optional per-entry TTL and explicit
-//     negative-result entries (zero-community answers are the cheapest
-//     entries there are, and the queries most likely to be repeated
-//     verbatim by probing clients);
+//     memory budget) with explicit negative-result entries
+//     (zero-community answers are the cheapest entries there are, and
+//     the queries most likely to be repeated verbatim by probing
+//     clients);
 //   * the in-flight coalescing map — concurrent misses on one key share a
 //     single Solve through a PendingSolve future.
 //
@@ -42,16 +42,13 @@
 // partial_evicted) so operators can see the rule working.
 //
 // Thread safety: none. The cache is a data structure, not a service —
-// QueryEngine calls every method under its own mutex. The injected clock
-// exists so TTL tests advance time instead of sleeping.
+// QueryEngine calls every method under its own mutex.
 
 #ifndef TICL_SERVE_RESULT_CACHE_H_
 #define TICL_SERVE_RESULT_CACHE_H_
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <list>
 #include <memory>
@@ -63,21 +60,11 @@
 
 namespace ticl {
 
-/// Injectable time source (monotonic). Defaults to steady_clock::now.
-using CacheClock = std::function<std::chrono::steady_clock::time_point()>;
-
 struct ResultCacheOptions {
   /// Budget in cached community members (each entry charged its total
   /// member count, floored at 1 so negative entries still cost
   /// something). 0 disables the cache entirely.
   std::size_t member_budget = 1u << 20;
-  /// Per-entry time-to-live in milliseconds; 0 = entries never expire.
-  /// Expiry is lazy: an expired entry is dropped by the Lookup that
-  /// finds it (and counted in counters().expired).
-  std::uint64_t ttl_ms = 0;
-  /// Test seam: overrides the time source for TTL. Never set in
-  /// production.
-  CacheClock clock_for_test;
 };
 
 /// Counters owned by the cache itself; QueryEngine merges them into
@@ -86,8 +73,6 @@ struct ResultCacheOptions {
 struct ResultCacheCounters {
   /// Entries pushed out by the LRU budget sweep.
   std::uint64_t evictions = 0;
-  /// Lookups that found an entry past its TTL (dropped, reported a miss).
-  std::uint64_t expired = 0;
   /// Hits served from a negative (zero-community) entry.
   std::uint64_t negative_hits = 0;
   /// Partial-invalidation outcomes, cumulative across deltas.
@@ -155,9 +140,7 @@ class ResultCache {
   /// Insert and account the query as uncacheable.
   bool enabled() const { return member_budget_ > 0; }
 
-  /// Resident entry for `key`, bumped to MRU — or nullptr on a miss. An
-  /// entry past its TTL is erased, counted in counters().expired, and
-  /// reported as a miss.
+  /// Resident entry for `key`, bumped to MRU — or nullptr on a miss.
   std::shared_ptr<const SearchResult> Lookup(const std::string& key);
 
   enum class InsertOutcome {
@@ -217,17 +200,11 @@ class ResultCache {
     CacheEntryMeta meta;
     std::shared_ptr<const SearchResult> result;
     std::size_t charge = 0;
-    /// Entry is invalid at/after this instant (time_point::max() = never).
-    std::chrono::steady_clock::time_point expires_at;
   };
 
-  std::chrono::steady_clock::time_point Now() const;
-  std::chrono::steady_clock::time_point ExpiryFromNow() const;
   void EraseEntry(std::list<Entry>::iterator it);
 
   std::size_t member_budget_;
-  std::uint64_t ttl_ms_;
-  CacheClock clock_;
 
   /// MRU-first recency list; the map points into it.
   std::list<Entry> lru_;

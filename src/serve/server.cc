@@ -512,7 +512,6 @@ void Server::HandleAdmin(Connection* conn, const ParsedRequest& request) {
              U64(engine_stats.cache_uncacheable) +
              ", \"cache_negative_hits\": " +
              U64(engine_stats.cache_negative_hits) +
-             ", \"cache_expired\": " + U64(engine_stats.cache_expired) +
              ", \"cache_partial_kept\": " +
              U64(engine_stats.cache_partial_kept) +
              ", \"cache_partial_evicted\": " +

@@ -154,6 +154,28 @@ TEST(AggregationNamesTest, AllKindsNamed) {
             "balanced-density");
 }
 
+TEST(AggregationNamesTest, ParseRoundTripsEveryKind) {
+  // Each kind comes back from its name with the same spec its factory
+  // builds: alpha only for sum-surplus, beta only for weight density.
+  const AggregationSpec expected[] = {
+      AggregationSpec::Min(),          AggregationSpec::Max(),
+      AggregationSpec::Sum(),          AggregationSpec::SumSurplus(0.5),
+      AggregationSpec::Avg(),          AggregationSpec::WeightDensity(2.5),
+      AggregationSpec::BalancedDensity()};
+  for (const AggregationSpec& want : expected) {
+    AggregationSpec got = AggregationSpec::Sum();
+    ASSERT_TRUE(ParseAggregation(AggregationName(want.kind), 0.5, 2.5, &got))
+        << AggregationName(want.kind);
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.alpha, want.alpha) << AggregationName(want.kind);
+    EXPECT_EQ(got.beta, want.beta) << AggregationName(want.kind);
+  }
+  AggregationSpec untouched = AggregationSpec::Avg();
+  EXPECT_FALSE(ParseAggregation("median", 1.0, 1.0, &untouched));
+  EXPECT_FALSE(ParseAggregation("Sum", 1.0, 1.0, &untouched));
+  EXPECT_EQ(untouched.kind, Aggregation::kAvg);
+}
+
 TEST(AggregationNamesTest, FormulasMentionParameters) {
   EXPECT_EQ(AggregationFormula(AggregationSpec::Sum()), "w(H)");
   EXPECT_NE(AggregationFormula(AggregationSpec::SumSurplus(1.5)).find("1.5"),

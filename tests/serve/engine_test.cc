@@ -1,7 +1,6 @@
 #include "serve/engine.h"
 
 #include <atomic>
-#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
@@ -364,7 +363,7 @@ TEST(QueryEngineTest, ConcurrentMissesOnSameKeyCoalesceToOneSolve) {
             stats.queries);
 }
 
-// -- Outcome accounting, TTL, negative caching ------------------------------
+// -- Outcome accounting, negative caching -----------------------------------
 
 TEST(QueryEngineCacheTest, EveryQueryLandsInExactlyOneOutcomeCounter) {
   // A workload that exercises all four outcomes: hits, misses, a
@@ -428,34 +427,6 @@ TEST(QueryEngineCacheTest, NegativeResultsAreCachedAndCounted) {
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_EQ(stats.cache_negative_hits, 1u);
   EXPECT_EQ(stats.cache_charge, 1u);  // floored, not free
-  ExpectOutcomeInvariant(stats);
-}
-
-TEST(QueryEngineCacheTest, TtlExpiresEntriesWithInjectedClock) {
-  auto now = std::make_shared<std::chrono::steady_clock::time_point>(
-      std::chrono::steady_clock::time_point{});
-  EngineOptions options;
-  options.num_threads = 1;
-  options.cache_ttl_ms = 100;
-  options.cache_clock_for_test = [now] { return *now; };
-  QueryEngine engine(TwoTrianglesAndK4(), options);
-
-  Query q;
-  q.k = 2;
-  q.r = 1;
-  engine.Run(q);
-  *now += std::chrono::milliseconds(99);
-  EXPECT_TRUE(engine.Run(q).cache_hit);  // still fresh
-  *now += std::chrono::milliseconds(1);
-  const EngineResponse after = engine.Run(q);  // 100ms old: expired
-  EXPECT_FALSE(after.cache_hit);
-  *now += std::chrono::milliseconds(50);
-  EXPECT_TRUE(engine.Run(q).cache_hit);  // the re-solve re-cached it
-
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.cache_expired, 1u);
-  EXPECT_EQ(stats.cache_hits, 2u);
-  EXPECT_EQ(stats.cache_misses, 2u);
   ExpectOutcomeInvariant(stats);
 }
 

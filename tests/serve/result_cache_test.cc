@@ -1,12 +1,11 @@
-// Unit tests for the delta-aware result cache: LRU/budget mechanics, TTL
-// with an injected clock, the DeltaImpact keep rule, and the coalescing
-// map. The end-to-end behaviour (does the engine serve *correct* answers
-// from kept entries?) is owned by the churn oracle in engine_test.cc.
+// Unit tests for the delta-aware result cache: LRU/budget mechanics, the
+// DeltaImpact keep rule, and the coalescing map. The end-to-end behaviour
+// (does the engine serve *correct* answers from kept entries?) is owned
+// by the churn oracle in engine_test.cc.
 
 #include "serve/result_cache.h"
 
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <string>
 
@@ -94,55 +93,6 @@ TEST(ResultCacheTest, NegativeEntriesChargeOneAndCountHits) {
   ASSERT_NE(hit, nullptr);
   EXPECT_TRUE(hit->communities.empty());
   EXPECT_EQ(cache.counters().negative_hits, 1u);
-}
-
-TEST(ResultCacheTest, TtlExpiresEntriesLazily) {
-  // Injected clock: no sleeping. Entries live exactly ttl_ms.
-  auto now = std::make_shared<std::chrono::steady_clock::time_point>(
-      std::chrono::steady_clock::time_point{});
-  ResultCacheOptions options;
-  options.ttl_ms = 100;
-  options.clock_for_test = [now] { return *now; };
-  ResultCache cache(options);
-
-  cache.Insert("a", Meta(2), MakeResult({3}));
-  *now += std::chrono::milliseconds(99);
-  EXPECT_NE(cache.Lookup("a"), nullptr);  // still fresh
-  *now += std::chrono::milliseconds(1);
-  EXPECT_EQ(cache.Lookup("a"), nullptr);  // at the deadline: expired
-  EXPECT_EQ(cache.counters().expired, 1u);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.charge(), 0u);
-
-  // Re-inserting restarts the clock from the (advanced) now.
-  cache.Insert("a", Meta(2), MakeResult({3}));
-  *now += std::chrono::milliseconds(50);
-  EXPECT_NE(cache.Lookup("a"), nullptr);
-}
-
-TEST(ResultCacheTest, HugeTtlSaturatesInsteadOfExpiringInstantly) {
-  // A TTL beyond the clock's representable range means "effectively
-  // never expires"; an unguarded now + ttl would wrap past the epoch and
-  // expire every entry on its first lookup.
-  ResultCacheOptions options;
-  options.ttl_ms = ~0ull;
-  ResultCache cache(options);  // real clock on purpose
-  cache.Insert("a", Meta(2), MakeResult({3}));
-  EXPECT_NE(cache.Lookup("a"), nullptr);
-  EXPECT_EQ(cache.counters().expired, 0u);
-}
-
-TEST(ResultCacheTest, ZeroTtlNeverExpires) {
-  auto now = std::make_shared<std::chrono::steady_clock::time_point>(
-      std::chrono::steady_clock::time_point{});
-  ResultCacheOptions options;
-  options.ttl_ms = 0;
-  options.clock_for_test = [now] { return *now; };
-  ResultCache cache(options);
-  cache.Insert("a", Meta(2), MakeResult({3}));
-  *now += std::chrono::hours(10000);
-  EXPECT_NE(cache.Lookup("a"), nullptr);
-  EXPECT_EQ(cache.counters().expired, 0u);
 }
 
 TEST(DeltaImpactTest, EvictsTruthTable) {

@@ -23,9 +23,8 @@
 // Exit status: 0 on success, 1 on usage errors, 2 on IO errors,
 // 3 if result validation fails (library bug — please report).
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -127,153 +126,53 @@ void PrintUsage() {
       "  --output FMT          text|json (default text)\n");
 }
 
-bool ParseArgs(int argc, char** argv, CliOptions* options,
-               std::string* error) {
-  const auto need_value = [&](int i) -> const char* {
-    if (i + 1 >= argc) return nullptr;
-    return argv[i + 1];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto take = [&](std::string* out) {
-      const char* value = need_value(i);
-      if (value == nullptr) {
-        *error = "missing value for " + arg;
-        return false;
-      }
-      *out = value;
-      ++i;
-      return true;
-    };
-    std::string value;
-    unsigned long long number = 0;
-    if (arg == "--help" || arg == "-h") {
-      options->help = true;
-    } else if (arg == "--graph") {
-      if (!take(&options->graph_path)) return false;
-    } else if (arg == "--weights") {
-      if (!take(&options->weights_path)) return false;
-    } else if (arg == "--weight-scheme") {
-      if (!take(&options->weight_scheme)) return false;
-    } else if (arg == "--generate") {
-      if (!take(&options->generate)) return false;
-    } else if (arg == "--snapshot") {
-      if (!take(&options->snapshot_path)) return false;
-    } else if (arg == "--delta") {
-      if (!take(&value)) return false;
-      options->delta_paths.push_back(value);
-    } else if (arg == "--apply-delta") {
-      if (!take(&options->apply_delta_path)) return false;
-    } else if (arg == "--mmap") {
-      options->mmap = true;
-    } else if (arg == "--save-snapshot") {
-      if (!take(&options->save_snapshot_path)) return false;
-    } else if (arg == "--snapshot-index") {
-      options->snapshot_index = true;
-    } else if (arg == "--snapshot-format") {
-      if (!take(&value)) return false;
-      if (!ticl::tools::ParseUnsigned(value, 0xFFFFFFFFull, &number)) {
-        *error = "invalid --snapshot-format: " + value;
-        return false;
-      }
-      options->snapshot_format = static_cast<std::uint32_t>(number);
-    } else if (arg == "--seed") {
-      if (!take(&value)) return false;
-      if (!ticl::tools::ParseUnsigned(value, ~0ull, &number)) {
-        *error = "invalid --seed: " + value;
-        return false;
-      }
-      options->seed = number;
-    } else if (arg == "--k") {
-      if (!take(&value)) return false;
-      if (!ticl::tools::ParseUnsigned(value, 0xFFFFFFFFull, &number)) {
-        *error = "invalid --k: " + value;
-        return false;
-      }
-      options->query.k = static_cast<ticl::VertexId>(number);
-      options->query_requested = true;
-    } else if (arg == "--r") {
-      if (!take(&value)) return false;
-      if (!ticl::tools::ParseUnsigned(value, 0xFFFFFFFFull, &number)) {
-        *error = "invalid --r: " + value;
-        return false;
-      }
-      options->query.r = static_cast<std::uint32_t>(number);
-      options->query_requested = true;
-    } else if (arg == "--s") {
-      if (!take(&value)) return false;
-      if (!ticl::tools::ParseUnsigned(value, 0xFFFFFFFFull, &number)) {
-        *error = "invalid --s: " + value;
-        return false;
-      }
-      options->query.size_limit = static_cast<ticl::VertexId>(number);
-      options->query_requested = true;
-    } else if (arg == "--f") {
-      if (!take(&options->aggregation)) return false;
-      options->query_requested = true;
-    } else if (arg == "--alpha") {
-      if (!take(&value)) return false;
-      if (!ticl::tools::ParseDouble(value, &options->alpha)) {
-        *error = "invalid --alpha: " + value;
-        return false;
-      }
-    } else if (arg == "--beta") {
-      if (!take(&value)) return false;
-      if (!ticl::tools::ParseDouble(value, &options->beta)) {
-        *error = "invalid --beta: " + value;
-        return false;
-      }
-    } else if (arg == "--non-overlapping") {
-      options->query.non_overlapping = true;
-      options->query_requested = true;
-    } else if (arg == "--solver") {
-      if (!take(&options->solver)) return false;
-      options->query_requested = true;
-    } else if (arg == "--epsilon") {
-      if (!take(&value)) return false;
-      if (!ticl::tools::ParseDouble(value, &options->epsilon)) {
-        *error = "invalid --epsilon: " + value;
-        return false;
-      }
-    } else if (arg == "--threads") {
-      if (!take(&value)) return false;
-      if (!ticl::tools::ParseUnsigned(value, 0xFFFFFFFFull, &number)) {
-        *error = "invalid --threads: " + value;
-        return false;
-      }
-      options->threads = static_cast<unsigned>(number);
-    } else if (arg == "--output") {
-      if (!take(&options->output)) return false;
-    } else {
-      *error = "unknown argument: " + arg;
-      return false;
-    }
+bool ParseFlag(ticl::tools::ArgReader& args, CliOptions* options) {
+  const std::string& arg = args.arg();
+  if (arg == "--help" || arg == "-h") {
+    options->help = true;
+    return true;
   }
-  return true;
-}
-
-bool ResolveAggregation(const CliOptions& options, ticl::AggregationSpec* spec,
-                        std::string* error) {
-  const std::string& name = options.aggregation;
-  if (name == "min") {
-    *spec = ticl::AggregationSpec::Min();
-  } else if (name == "max") {
-    *spec = ticl::AggregationSpec::Max();
-  } else if (name == "sum") {
-    *spec = ticl::AggregationSpec::Sum();
-  } else if (name == "sum-surplus") {
-    *spec = ticl::AggregationSpec::SumSurplus(options.alpha);
-  } else if (name == "avg") {
-    *spec = ticl::AggregationSpec::Avg();
-  } else if (name == "weight-density") {
-    *spec = ticl::AggregationSpec::WeightDensity(options.beta);
-  } else if (name == "balanced-density") {
-    *spec = ticl::AggregationSpec::BalancedDensity();
-  } else {
-    *error = "unknown aggregation: " + name;
-    return false;
+  if (arg == "--graph") return args.Take(&options->graph_path);
+  if (arg == "--weights") return args.Take(&options->weights_path);
+  if (arg == "--weight-scheme") return args.Take(&options->weight_scheme);
+  if (arg == "--generate") return args.Take(&options->generate);
+  if (arg == "--snapshot") return args.Take(&options->snapshot_path);
+  if (arg == "--delta") return args.TakeAppend(&options->delta_paths);
+  if (arg == "--apply-delta") return args.Take(&options->apply_delta_path);
+  if (arg == "--mmap") {
+    options->mmap = true;
+    return true;
   }
-  return true;
+  if (arg == "--save-snapshot") return args.Take(&options->save_snapshot_path);
+  if (arg == "--snapshot-index") {
+    options->snapshot_index = true;
+    return true;
+  }
+  if (arg == "--snapshot-format") {
+    return args.TakeUnsigned(&options->snapshot_format);
+  }
+  if (arg == "--seed") return args.TakeUnsigned(&options->seed);
+  if (arg == "--alpha") return args.TakeDouble(&options->alpha);
+  if (arg == "--beta") return args.TakeDouble(&options->beta);
+  if (arg == "--epsilon") return args.TakeDouble(&options->epsilon);
+  if (arg == "--threads") return args.TakeUnsigned(&options->threads);
+  if (arg == "--output") {
+    if (!args.Take(&options->output)) return false;
+    return options->output == "text" || options->output == "json" ||
+           args.Invalid(options->output);
+  }
+  // The query and solver flags: with --save-snapshot, the query still runs.
+  options->query_requested = true;
+  if (arg == "--k") return args.TakeUnsigned(&options->query.k);
+  if (arg == "--r") return args.TakeUnsigned(&options->query.r);
+  if (arg == "--s") return args.TakeUnsigned(&options->query.size_limit);
+  if (arg == "--f") return args.Take(&options->aggregation);
+  if (arg == "--non-overlapping") {
+    options->query.non_overlapping = true;
+    return true;
+  }
+  if (arg == "--solver") return args.Take(&options->solver);
+  return args.Unknown();
 }
 
 bool ResolveSolver(const std::string& name, ticl::SolverKind* kind,
@@ -305,8 +204,8 @@ bool BuildGraph(const CliOptions& options, ticl::Graph* g,
       double scale = 1.0;
       const std::size_t at = name.find('@');
       if (at != std::string::npos) {
-        scale = std::strtod(name.c_str() + at + 1, nullptr);
-        if (scale <= 0.0) {
+        if (!ticl::tools::ParseDouble(name.substr(at + 1), &scale) ||
+            !std::isfinite(scale) || scale <= 0.0) {
           *error = "bad stand-in scale in " + spec;
           return false;
         }
@@ -322,18 +221,30 @@ bool BuildGraph(const CliOptions& options, ticl::Graph* g,
       return false;
     }
     if (spec.rfind("chung-lu:", 0) == 0) {
+      // Checked against the generator's preconditions (average degree
+      // > 0, 2 < gamma < 3), which it enforces by aborting.
+      std::vector<std::string> fields(1);
+      for (const char c : spec.substr(9)) {
+        if (c == ',') {
+          fields.emplace_back();
+        } else {
+          fields.back().push_back(c);
+        }
+      }
+      unsigned long long n = 0;
       ticl::ChungLuOptions cl;
-      unsigned long n = 0;
-      double deg = 0.0;
-      double gamma = 0.0;
-      if (std::sscanf(spec.c_str() + 9, "%lu,%lf,%lf", &n, &deg, &gamma) !=
-          3) {
-        *error = "expected chung-lu:<n>,<avg_degree>,<gamma>";
+      if (fields.size() != 3 ||
+          !ticl::tools::ParseUnsigned(fields[0], 0xFFFFFFFFull, &n) ||
+          !ticl::tools::ParseDouble(fields[1], &cl.target_average_degree) ||
+          !ticl::tools::ParseDouble(fields[2], &cl.gamma) ||
+          !std::isfinite(cl.target_average_degree) ||
+          cl.target_average_degree <= 0.0 ||
+          !(cl.gamma > 2.0 && cl.gamma < 3.0)) {
+        *error = "expected chung-lu:<n>,<avg_degree>,<gamma> with "
+                 "avg_degree > 0 and 2 < gamma < 3";
         return false;
       }
       cl.num_vertices = static_cast<ticl::VertexId>(n);
-      cl.target_average_degree = deg;
-      cl.gamma = gamma;
       cl.seed = options.seed;
       *g = ticl::GenerateChungLu(cl);
       return true;
@@ -403,17 +314,22 @@ void PrintJson(const ticl::Query& query, const ticl::SearchResult& result) {
 int main(int argc, char** argv) {
   CliOptions options;
   std::string error;
-  if (!ParseArgs(argc, argv, &options, &error)) {
-    std::fprintf(stderr, "error: %s\n\n", error.c_str());
-    PrintUsage();
-    return 1;
+  ticl::tools::ArgReader args(argc, argv, &error);
+  while (args.Next()) {
+    if (!ParseFlag(args, &options)) {
+      std::fprintf(stderr, "error: %s\n\n", error.c_str());
+      PrintUsage();
+      return 1;
+    }
   }
   if (options.help || argc == 1) {
     PrintUsage();
     return 0;
   }
-  if (!ResolveAggregation(options, &options.query.aggregation, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
+  if (!ticl::ParseAggregation(options.aggregation, options.alpha,
+                              options.beta, &options.query.aggregation)) {
+    std::fprintf(stderr, "error: unknown aggregation: %s\n",
+                 options.aggregation.c_str());
     return 1;
   }
 
