@@ -1,13 +1,11 @@
 // Cold start: time from process-has-nothing to first query answered, the
 // metric the zero-copy storage spine exists to crush.
 //
-// Five configurations per dataset, each iteration doing the full start-up
+// Four configurations per dataset, each iteration doing the full start-up
 // plus one Run():
 //   text_parse_pagerank   parse the SNAP text edge list, run PageRank,
 //                         build the engine (core decomposition), answer
 //                         (what a from-scratch deployment pays)
-//   snapshot_v1_copy      legacy v1 snapshot: bulk-read the arrays into
-//                         heap vectors, build the core index, answer
 //   snapshot_v2_copy      v2 snapshot without an index section: copy-load
 //                         the arrays, run the decomposition, answer
 //   snapshot_v2_copy_index v2 snapshot with embedded CoreIndex, copy-load:
@@ -16,7 +14,7 @@
 //                         no CSR/weights copy, no decomposition — start-up
 //                         work is one validation/checksum pass
 //
-// Expected shape: text >> v1_copy ~ v2_copy > mmap_index, with the gap
+// Expected shape: text >> v2_copy > mmap_index, with the gap
 // between copy and mmap growing linearly in graph size.
 
 #include <string>
@@ -41,7 +39,6 @@ using ticl::bench::DisplayName;
 
 struct ColdStartFiles {
   std::string text_path;
-  std::string v1_path;
   std::string v2_path;
   std::string v2_index_path;
 };
@@ -56,16 +53,11 @@ const ColdStartFiles& Files(ticl::StandIn dataset) {
   ColdStartFiles files;
   const std::string base = "/tmp/ticl_cold_start_" + DisplayName(dataset);
   files.text_path = base + ".txt";
-  files.v1_path = base + ".v1.snap";
   files.v2_path = base + ".v2.snap";
   files.v2_index_path = base + ".v2idx.snap";
 
   std::string error;
   TICL_CHECK_MSG(ticl::SaveEdgeList(files.text_path, g, &error),
-                 error.c_str());
-  ticl::SaveSnapshotOptions v1;
-  v1.version = 1;
-  TICL_CHECK_MSG(ticl::SaveSnapshot(files.v1_path, g, v1, &error),
                  error.c_str());
   TICL_CHECK_MSG(ticl::SaveSnapshot(files.v2_path, g, &error),
                  error.c_str());
@@ -147,12 +139,6 @@ void RegisterAll(ticl::StandIn dataset) {
   const std::string prefix = "ColdStart/" + name + "/";
   benchmark::RegisterBenchmark((prefix + "text_parse_pagerank").c_str(),
                                BM_TextParsePageRank, dataset)
-      ->Unit(benchmark::kMillisecond)
-      ->UseRealTime();
-  benchmark::RegisterBenchmark((prefix + "snapshot_v1_copy").c_str(),
-                               BM_SnapshotColdStart, dataset,
-                               &ColdStartFiles::v1_path,
-                               ticl::SnapshotLoadMode::kCopy)
       ->Unit(benchmark::kMillisecond)
       ->UseRealTime();
   benchmark::RegisterBenchmark((prefix + "snapshot_v2_copy").c_str(),

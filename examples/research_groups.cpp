@@ -33,7 +33,7 @@ void PrintCommunity(const ticl::CoauthorNetwork& net,
 
 int main() {
   // The paper's Aminer dump is not redistributable; this generator plants
-  // the same recoverable structure (see DESIGN.md §4).
+  // the same recoverable structure (see gen/coauthor_network.h).
   ticl::CoauthorNetworkOptions options;
   options.num_fields = 5;
   options.groups_per_field = 8;

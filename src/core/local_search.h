@@ -23,10 +23,10 @@
 // the hubs inside it. Each prefix is tested from scratch, so a seed with
 // an s_eff-vertex neighbourhood may run up to s_eff - k such tests.
 //
-// Documented deviations from the paper's listing (DESIGN.md §3.4): the
-// result list starts empty rather than holding the oversized k-core
-// components, candidates must be connected (Definition 3 requires it), and
-// duplicates are filtered.
+// Documented deviations from the paper's Algorithm 4 listing: the result
+// list starts empty rather than holding the oversized k-core components,
+// candidates must be connected (Definition 3 requires it), and duplicates
+// are filtered.
 
 #ifndef TICL_CORE_LOCAL_SEARCH_H_
 #define TICL_CORE_LOCAL_SEARCH_H_

@@ -275,45 +275,26 @@ bool ReadChecked(std::FILE* f, Fnv1a* checksum, void* data, std::size_t bytes,
   return true;
 }
 
+/// Reads all of `f`, from its first byte, into *buffer in one read.
+bool ReadWholeFile(std::FILE* f, std::vector<unsigned char>* buffer,
+                   std::string* error) {
+  if (std::fseek(f, 0, SEEK_END) != 0) {
+    *error = "snapshot: seek failed";
+    return false;
+  }
+  const long file_size = std::ftell(f);
+  if (file_size < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
+    *error = "snapshot: seek failed";
+    return false;
+  }
+  buffer->resize(static_cast<std::size_t>(file_size));
+  return ReadChecked(f, nullptr, buffer->data(), buffer->size(), "file",
+                     error);
+}
+
 std::uint64_t AlignUp(std::uint64_t x) {
   return (x + (fmt::kSectionAlignment - 1)) &
          ~static_cast<std::uint64_t>(fmt::kSectionAlignment - 1);
-}
-
-/// The v1 body (everything after the shared temp-file plumbing). Kept so
-/// compatibility tests and benchmarks can produce old files on demand.
-bool WriteV1Body(std::FILE* f, const Graph& g, std::string* error) {
-  const std::uint32_t version = 1;
-  const std::uint32_t flags = g.has_weights() ? fmt::kFlagHasWeights : 0;
-  const std::uint64_t n = g.num_vertices();
-  const std::uint64_t adj_len = g.adjacency().size();
-
-  // num_vertices() == 0 graphs legitimately have an empty offsets array;
-  // normalize to the canonical one-entry [0] so loads round-trip.
-  const std::vector<EdgeIndex> empty_offsets{0};
-  const std::span<const EdgeIndex> offsets =
-      g.offsets().empty() ? std::span<const EdgeIndex>(empty_offsets)
-                          : g.offsets();
-
-  Fnv1a checksum;
-  if (!WriteChecked(f, &checksum, fmt::kMagic, sizeof(fmt::kMagic), error) ||
-      !WriteChecked(f, &checksum, &version, sizeof(version), error) ||
-      !WriteChecked(f, &checksum, &flags, sizeof(flags), error) ||
-      !WriteChecked(f, &checksum, &n, sizeof(n), error) ||
-      !WriteChecked(f, &checksum, &adj_len, sizeof(adj_len), error) ||
-      !WriteChecked(f, &checksum, offsets.data(),
-                    offsets.size() * sizeof(EdgeIndex), error) ||
-      !WriteChecked(f, &checksum, g.adjacency().data(),
-                    adj_len * sizeof(VertexId), error)) {
-    return false;
-  }
-  if (g.has_weights() &&
-      !WriteChecked(f, &checksum, g.weights().data(), n * sizeof(Weight),
-                    error)) {
-    return false;
-  }
-  const std::uint64_t digest = checksum.Digest();
-  return WriteChecked(f, nullptr, &digest, sizeof(digest), error);
 }
 
 struct Section {
@@ -509,19 +490,8 @@ bool LoadV1Body(std::FILE* f, Fnv1a checksum, Graph* out,
 bool LoadV2Body(std::FILE* f, Graph* out,
                 std::vector<unsigned char>* index_payload,
                 std::string* error) {
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    *error = "snapshot: seek failed";
-    return false;
-  }
-  const long file_size = std::ftell(f);
-  if (file_size < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
-    *error = "snapshot: seek failed";
-    return false;
-  }
-  std::vector<unsigned char> buffer(static_cast<std::size_t>(file_size));
-  if (!ReadChecked(f, nullptr, buffer.data(), buffer.size(), "file", error)) {
-    return false;
-  }
+  std::vector<unsigned char> buffer;
+  if (!ReadWholeFile(f, &buffer, error)) return false;
   fmt::ParsedSnapshot parsed;
   if (!fmt::ParseV2(buffer.data(), buffer.size(), &parsed, error)) {
     return false;
@@ -578,21 +548,8 @@ bool SaveSnapshot(const std::string& path, const Graph& g,
 
 bool SaveSnapshot(const std::string& path, const Graph& g,
                   const SaveSnapshotOptions& options, std::string* error) {
-  if (options.version != 1 && options.version != 2) {
-    *error = "snapshot: unsupported writer version " +
-             std::to_string(options.version);
-    return false;
-  }
-  if (options.version == 1 && options.core_index != nullptr) {
-    *error = "snapshot: format v1 cannot embed a core index (use v2)";
-    return false;
-  }
   return AtomicWrite(
-      path,
-      [&](std::FILE* f) {
-        return options.version == 2 ? WriteV2Body(f, g, options, error)
-                                    : WriteV1Body(f, g, error);
-      },
+      path, [&](std::FILE* f) { return WriteV2Body(f, g, options, error); },
       error);
 }
 
@@ -699,15 +656,8 @@ bool LoadDeltaSnapshot(const std::string& path, GraphDelta* delta,
   }
   FileGuard file(raw, "");
   std::FILE* f = file.get();
-  if (std::fseek(f, 0, SEEK_END) != 0) return fail("seek failed");
-  const long file_size = std::ftell(f);
-  if (file_size < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
-    return fail("seek failed");
-  }
-  std::vector<unsigned char> buffer(static_cast<std::size_t>(file_size));
-  if (!ReadChecked(f, nullptr, buffer.data(), buffer.size(), "file", error)) {
-    return false;
-  }
+  std::vector<unsigned char> buffer;
+  if (!ReadWholeFile(f, &buffer, error)) return false;
 
   std::vector<fmt::SectionRef> sections;
   if (!fmt::ParseV2Table(buffer.data(), buffer.size(), &sections, error)) {

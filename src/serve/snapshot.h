@@ -63,8 +63,7 @@
 //
 // v1 files keep loading forever (LoadSnapshot); they cannot carry a
 // CoreIndex and — because the weights section is only 8-aligned when m is
-// even — are not eligible for mmap. SaveSnapshotOptions::version = 1
-// keeps a writer around for compatibility tests and benchmarks.
+// even — are not eligible for mmap.
 //
 // -- Mmap quickstart -------------------------------------------------------
 //
@@ -95,17 +94,14 @@ inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 struct SaveSnapshotOptions {
   /// Optional CoreIndex to embed so loaders skip the decomposition too.
   /// Must have been built for the graph being saved (fingerprint is
-  /// checked). Requires version 2.
+  /// checked).
   const CoreIndex* core_index = nullptr;
-  /// Format version to write: 2 (default) or 1 (legacy, for compatibility
-  /// tooling; cannot embed a core index and cannot be mmap-loaded).
-  std::uint32_t version = kSnapshotFormatVersion;
 };
 
-/// Writes `g` (topology + weights when assigned) to `path`, atomically:
-/// the bytes go to a sibling temp file first, which is renamed over `path`
-/// on success. Returns false and sets *error on IO failure or invalid
-/// options.
+/// Writes `g` (topology + weights when assigned) to `path` in format
+/// kSnapshotFormatVersion, atomically: the bytes go to a sibling temp file
+/// first, which is renamed over `path` on success. Returns false and sets
+/// *error on IO failure or a core index built for another graph.
 bool SaveSnapshot(const std::string& path, const Graph& g,
                   std::string* error);
 bool SaveSnapshot(const std::string& path, const Graph& g,

@@ -342,28 +342,32 @@ TEST(SnapshotCompatTest, CommittedV1GoldenFileStillLoads) {
   EXPECT_EQ(loaded.weight(2), 3.0);
 }
 
-TEST(SnapshotCompatTest, V1WriterRoundTrips) {
-  const Graph original = TwoTrianglesAndK4();
-  const std::string path = TempPath("v1_writer.snap");
-  SaveSnapshotOptions options;
-  options.version = 1;
-  std::string error;
-  ASSERT_TRUE(SaveSnapshot(path, original, options, &error)) << error;
+TEST(SnapshotCompatTest, UnweightedV1ImageLoadsBitIdentically) {
+  // The golden file above covers a weighted v1 image; this hand-built one
+  // covers the unweighted path (flags = 0, no weights block).
+  const Graph weighted = TwoTrianglesAndK4();
+  const Graph original(testing::ToVector(weighted.offsets()),
+                       testing::ToVector(weighted.adjacency()));
+  RawWriter w;
+  w.Append("TICLSNAP", 8);
+  w.AppendValue<std::uint32_t>(1);  // v1 layout
+  w.AppendValue<std::uint32_t>(0);  // flags: no weights
+  w.AppendValue<std::uint64_t>(original.num_vertices());
+  w.AppendValue<std::uint64_t>(original.adjacency().size());
+  w.Append(original.offsets().data(),
+           original.offsets().size() * sizeof(EdgeIndex));
+  w.Append(original.adjacency().data(),
+           original.adjacency().size() * sizeof(VertexId));
+  w.AppendValue<std::uint64_t>(w.Checksum());
+  const std::string path = TempPath("v1_unweighted.snap");
+  w.WriteTo(path);
+
   Graph loaded;
+  std::string error;
   ASSERT_TRUE(LoadSnapshot(path, &loaded, &error)) << error;
+  EXPECT_FALSE(loaded.has_weights());
   ExpectBitIdentical(original, loaded);
   std::remove(path.c_str());
-}
-
-TEST(SnapshotCompatTest, V1CannotEmbedCoreIndex) {
-  const Graph g = TwoTrianglesAndK4();
-  const CoreIndex index(g);
-  SaveSnapshotOptions options;
-  options.version = 1;
-  options.core_index = &index;
-  std::string error;
-  EXPECT_FALSE(SaveSnapshot(TempPath("v1_index.snap"), g, options, &error));
-  EXPECT_NE(error.find("cannot embed"), std::string::npos) << error;
 }
 
 TEST(SnapshotCompatTest, CoreIndexSectionRoundTripsThroughLoadSnapshot) {

@@ -221,6 +221,7 @@ TEST_F(ToolsTest, UsageErrorsExitOne) {
       {TICL_SERVE_BIN, "--snapshot"},
       {TICL_SERVE_BIN, "--snapshot", snap, "--cache-ttl-ms", "5"},
       {TICL_SERVED_BIN, "--snapshot", snap, "--cache-ttl-ms", "5"},
+      {TICL_QUERY_BIN, "--snapshot", snap, "--snapshot-format", "1"},
       {TICL_QUERY_BIN, "--snapshot", snap, "--output", "jsn"},
   };
   for (const std::vector<std::string>& args : cases) {
@@ -249,6 +250,9 @@ TEST_F(ToolsTest, FlagErrorsNameTheFlag) {
             std::string::npos);
   EXPECT_NE(Run({TICL_SERVED_BIN, "--cache-ttl-ms", "5"})
                 .err.find("unknown argument: --cache-ttl-ms"),
+            std::string::npos);
+  EXPECT_NE(Run({TICL_QUERY_BIN, "--snapshot-format", "1"})
+                .err.find("unknown argument: --snapshot-format"),
             std::string::npos);
   EXPECT_NE(Run({TICL_QUERY_BIN, "--output", "jsn"})
                 .err.find("invalid --output: jsn"),

@@ -10,6 +10,10 @@ current run against the artifact from the last successful main run:
 
 Rules
 -----
+* Run the benchmarks with --benchmark_repetitions=N: every repetition's
+  "iteration" row is kept per name and the median is compared, so one
+  noisy repetition cannot fail (or pass) the gate alone. Aggregate rows
+  (mean/median/stddev) are ignored.
 * real_time is compared for every benchmark name present in both files
   (lower is better). A benchmark missing from either side is reported but
   never fails the run (benches come and go across PRs).
@@ -27,6 +31,7 @@ error.
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -42,12 +47,23 @@ def load(path):
         name = bench.get("name")
         # Skip aggregate rows (mean/median/stddev of repetitions); raw
         # iterations carry run_type "iteration" (or no run_type at all in
-        # older formats).
+        # older formats). Repetitions share a name, so keep them all.
         if bench.get("run_type", "iteration") != "iteration":
             continue
         if name:
-            benches[name] = bench
+            benches.setdefault(name, []).append(bench)
     return benches
+
+
+def median(rows, key):
+    """Median of `key` over the repetitions that carry it, else None."""
+    values = []
+    for row in rows:
+        try:
+            values.append(float(row[key]))
+        except (KeyError, TypeError, ValueError):
+            pass
+    return statistics.median(values) if values else None
 
 
 def parse_counter_spec(spec):
@@ -81,11 +97,6 @@ def main():
         nonlocal compared
         if base_value is None or cur_value is None:
             return
-        try:
-            base_value = float(base_value)
-            cur_value = float(cur_value)
-        except (TypeError, ValueError):
-            return
         if base_value == 0:
             print(f"  info {bench_name} {metric}: baseline 0, "
                   f"now {cur_value:g} (not compared)")
@@ -113,11 +124,11 @@ def main():
             print(f"  gone {name} (baseline only)")
             continue
         base, cur = baseline[name], current[name]
-        check(name, "real_time", base.get("real_time"),
-              cur.get("real_time"), "lower")
+        check(name, "real_time", median(base, "real_time"),
+              median(cur, "real_time"), "lower")
         for counter_name, direction in counters:
-            check(name, counter_name, base.get(counter_name),
-                  cur.get(counter_name), direction)
+            check(name, counter_name, median(base, counter_name),
+                  median(cur, counter_name), direction)
 
     if regressions:
         print(f"\nbench_compare: {len(regressions)} regression(s) over "

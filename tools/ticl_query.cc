@@ -55,7 +55,6 @@ struct CliOptions {
   bool mmap = false;               // zero-copy view instead of a copy-load
   std::string save_snapshot_path;  // write the prepared graph and exit*
   bool snapshot_index = false;     // embed the CoreIndex when saving
-  std::uint32_t snapshot_format = ticl::kSnapshotFormatVersion;
   std::uint64_t seed = 0;
   ticl::Query query;
   std::string solver = "auto";
@@ -100,9 +99,7 @@ void PrintUsage() {
       "                        as a snapshot; exits after saving unless a\n"
       "                        query flag is also given\n"
       "  --snapshot-index      embed the precomputed CoreIndex in the saved\n"
-      "                        snapshot (v2 only) so serving skips the\n"
-      "                        decomposition\n"
-      "  --snapshot-format N   snapshot version to write: 2 (default) or 1\n"
+      "                        snapshot so serving skips the decomposition\n"
       "  --seed N              seed for random weight schemes/generators\n"
       "\n"
       "query:\n"
@@ -147,9 +144,6 @@ bool ParseFlag(ticl::tools::ArgReader& args, CliOptions* options) {
   if (arg == "--snapshot-index") {
     options->snapshot_index = true;
     return true;
-  }
-  if (arg == "--snapshot-format") {
-    return args.TakeUnsigned(&options->snapshot_format);
   }
   if (arg == "--seed") return args.TakeUnsigned(&options->seed);
   if (arg == "--alpha") return args.TakeDouble(&options->alpha);
@@ -417,10 +411,10 @@ int main(int argc, char** argv) {
     if (have_text_delta) {
       // Child release: record (parent fingerprint, delta), kilobytes
       // instead of a full CSR rewrite.
-      if (options.snapshot_index || options.snapshot_format != 2) {
+      if (options.snapshot_index) {
         std::fprintf(stderr,
                      "error: a delta snapshot carries only edits; "
-                     "--snapshot-index / --snapshot-format do not apply\n");
+                     "--snapshot-index does not apply\n");
         return 1;
       }
       if (!ticl::SaveDeltaSnapshot(options.save_snapshot_path, text_delta,
@@ -440,7 +434,6 @@ int main(int argc, char** argv) {
       if (!options.query_requested) return 0;
     } else {
       ticl::SaveSnapshotOptions save_options;
-      save_options.version = options.snapshot_format;
       std::unique_ptr<ticl::CoreIndex> built_index;
       if (options.snapshot_index) {
         if (mapped != nullptr && mapped->has_core_index()) {
@@ -457,7 +450,7 @@ int main(int argc, char** argv) {
       }
       std::fprintf(stderr, "saved snapshot %s (v%u, n=%u m=%llu%s%s)\n",
                    options.save_snapshot_path.c_str(),
-                   options.snapshot_format, query_graph->num_vertices(),
+                   ticl::kSnapshotFormatVersion, query_graph->num_vertices(),
                    static_cast<unsigned long long>(query_graph->num_edges()),
                    query_graph->has_weights() ? ", weighted" : "",
                    options.snapshot_index ? ", core index embedded" : "");
