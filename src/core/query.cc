@@ -1,5 +1,6 @@
 #include "core/query.h"
 
+#include <cmath>
 #include <cstdio>
 
 namespace ticl {
@@ -15,6 +16,19 @@ std::string ValidateQuery(const Query& query, const Graph& g) {
       query.aggregation.alpha < 0.0) {
     return "sum-surplus alpha must be >= 0 (monotonicity; use "
            "weight-density for negative per-vertex surplus)";
+  }
+  // |f(H)| <= w(V) + |param| * |V| under both linear aggregations; a
+  // parameter that overflows the bound could make an influence infinite,
+  // which no JSON reply can carry.
+  const AggregationSpec& f = query.aggregation;
+  const bool surplus = f.kind == Aggregation::kSumSurplus;
+  const double param = surplus ? f.alpha : f.beta;
+  if ((surplus || f.kind == Aggregation::kWeightDensity) &&
+      !std::isfinite(g.total_weight() + std::fabs(param) * g.num_vertices())) {
+    return surplus ? "sum-surplus alpha is too large for this graph: "
+                     "w(V) + |alpha| * |V| must be finite"
+                   : "weight-density beta is too large for this graph: "
+                     "w(V) + |beta| * |V| must be finite";
   }
   return "";
 }

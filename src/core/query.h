@@ -34,7 +34,8 @@ struct Query {
 
 /// Returns "" if the query is well-formed for `g`, else a diagnostic:
 /// k >= 1, r >= 1, a size limit (when given) of at least k + 1 (smaller
-/// k-cores cannot exist), and assigned weights.
+/// k-cores cannot exist), assigned weights, and an active alpha or beta
+/// for which w(V) + |param| * |V| (a bound on |f(H)|) is finite.
 std::string ValidateQuery(const Query& query, const Graph& g);
 
 /// One-line description, e.g. "TIC k=4 r=5 s=20 f=avg".

@@ -104,7 +104,7 @@ SearchResult Solve(const Graph& g, const Query& query,
       return ImprovedSearch(g, query, improved);
     }
     case SolverKind::kExact: {
-      ExactOptions exact = options.exact;
+      ExactOptions exact;
       exact.core_index = options.core_index;
       return ExactSearch(g, query, exact);
     }

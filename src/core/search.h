@@ -39,8 +39,8 @@ enum class SolverKind {
 std::string SolverKindName(SolverKind kind);
 
 /// Inverse of SolverKindName: resolves a CLI-style solver name
-/// ("auto", "local-greedy", ...). Returns false for unknown names. One
-/// shared table so the three tools cannot drift.
+/// ("auto", "local-greedy", ...) for ticl_query --solver. Returns false
+/// for unknown names.
 bool ParseSolverKind(const std::string& name, SolverKind* kind);
 
 struct SolveOptions {
@@ -48,7 +48,6 @@ struct SolveOptions {
   /// Approximation ratio for kApprox (paper default 0.1).
   double epsilon = 0.1;
   LocalSearchOptions local;
-  ExactOptions exact;
   /// Optional precomputed core index for the queried graph
   /// (serve/core_index.h). When set, solvers seed from it instead of
   /// re-running the O(n + m) core decomposition; results are identical.
@@ -61,9 +60,9 @@ struct SolveOptions {
 
 /// Returns "" when `options` is well-formed, else a diagnostic — notably
 /// an epsilon outside [0, 1) (the Theorem 6 guarantee needs 1 - epsilon
-/// > 0; NaN is rejected too). Tools and the serve layer gate on this to
-/// fail cleanly; Solve() itself TICL_CHECK-aborts on violations, which is
-/// the wrong failure mode for user-supplied flags.
+/// > 0; NaN is rejected too). ticl_query gates on this to fail cleanly;
+/// Solve() itself TICL_CHECK-aborts on violations, which is the wrong
+/// failure mode for user-supplied flags.
 std::string ValidateSolveOptions(const SolveOptions& options);
 
 /// Runs the query. Preconditions of the selected solver are enforced with

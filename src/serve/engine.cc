@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "algo/core_maintenance.h"
+#include "core/search.h"
 #include "serve/snapshot.h"
 #include "util/check.h"
 
@@ -57,14 +58,9 @@ QueryEngine::QueryEngine(std::unique_ptr<MappedSnapshot> mapped,
                          Graph owned_graph,
                          const std::vector<unsigned char>& index_payload,
                          const EngineOptions& options)
-    : base_solve_options_(options.solve),
-      cache_partial_invalidation_(options.cache_partial_invalidation),
-      solve_started_hook_for_test_(options.solve_started_hook_for_test),
+    : solve_started_hook_for_test_(options.solve_started_hook_for_test),
       cache_(CacheOptionsFor(options)),
       pool_(options.num_threads) {
-  const std::string options_problem = ValidateSolveOptions(options.solve);
-  TICL_CHECK_MSG(options_problem.empty(), options_problem.c_str());
-
   auto state = std::make_shared<ServingState>();
   state->mapped = std::move(mapped);
   state->owned_graph = std::move(owned_graph);
@@ -95,19 +91,12 @@ QueryEngine::QueryEngine(std::unique_ptr<MappedSnapshot> mapped,
     state->owned_index = std::make_unique<CoreIndex>(*state->graph);
     state->index = state->owned_index.get();
   }
-  state->solve = base_solve_options_;
-  state->solve.core_index = state->index;
   state_ = std::move(state);
 }
 
 std::unique_ptr<QueryEngine> QueryEngine::OpenSnapshot(
     const std::string& path, SnapshotLoadMode mode, EngineOptions options,
     std::string* error) {
-  const std::string options_problem = ValidateSolveOptions(options.solve);
-  if (!options_problem.empty()) {
-    *error = "engine: " + options_problem;
-    return nullptr;
-  }
   if (mode == SnapshotLoadMode::kMmap) {
     std::unique_ptr<MappedSnapshot> mapped = MappedSnapshot::Open(path, error);
     if (mapped == nullptr) return nullptr;
@@ -203,8 +192,10 @@ EngineResponse QueryEngine::Run(const Query& query) {
     // The test hook lives inside the try so a throwing hook exercises
     // the same retirement path a throwing solver would.
     if (solve_started_hook_for_test_) solve_started_hook_for_test_();
+    SolveOptions options;
+    options.core_index = state->index;
     result = std::make_shared<SearchResult>(
-        Solve(*state->graph, query, state->solve));
+        Solve(*state->graph, query, options));
   } catch (...) {
     // Solve normally aborts on contract violations, but allocation (or a
     // future solver) can throw. Retire the pending entry and fail its
@@ -338,8 +329,6 @@ bool QueryEngine::ApplyDelta(const GraphDelta& delta,
   next->owned_index = CoreIndex::FromCoreNumbers(next->owned_graph,
                                                  maintainer.TakeCoreNumbers());
   next->index = next->owned_index.get();
-  next->solve = base_solve_options_;
-  next->solve.core_index = next->index;
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -351,11 +340,7 @@ bool QueryEngine::ApplyDelta(const GraphDelta& delta,
     // swept by the keep rule: an entry survives only when the delta
     // provably left its k-level's induced subgraph untouched.
     cache_.ClearPending();
-    if (cache_partial_invalidation_) {
-      cache_.InvalidateForDelta(impact);
-    } else {
-      cache_.Clear();
-    }
+    cache_.InvalidateForDelta(impact);
     ++stats_.deltas_applied;
   }
   return true;

@@ -23,15 +23,14 @@
 // serve/result_cache.h for the keep rule and its soundness argument) —
 // and atomically swaps the serving state. Queries running concurrently
 // finish against the state they started with — each query pins a shared
-// snapshot of (graph, index, solve options), so a swap never pulls memory
-// out from under a solver; the old state is freed when its last query
-// completes.
+// snapshot of (graph, index), so a swap never pulls memory out from under
+// a solver; the old state is freed when its last query completes.
 //
 // Callers either Run() synchronously (the calling thread does the graph
 // work) or Submit() to the pool and collect a future. Either way the
-// answer is exactly what a direct Solve() on the same graph would return —
-// the index only removes the per-query re-peel, it never changes the
-// candidate stream — which the serve tests assert result-for-result.
+// answer is exactly what a direct Solve(graph, query) (kAuto) would
+// return — the index only removes the per-query re-peel, it never changes
+// the candidate stream — which the serve tests assert result-for-result.
 // Concurrent misses on the same canonical key are coalesced: the first
 // runs Solve, the rest block on its pending future instead of repeating
 // seconds of graph work.
@@ -56,7 +55,6 @@
 
 #include "core/query.h"
 #include "core/result.h"
-#include "core/search.h"
 #include "graph/graph.h"
 #include "graph/graph_delta.h"
 #include "serve/core_index.h"
@@ -77,14 +75,6 @@ struct EngineOptions {
   /// A single result larger than the whole budget is not cached at all
   /// (counted in EngineStats::cache_uncacheable). 0 disables caching.
   std::size_t cache_member_budget = 1u << 20;
-  /// When true (default), ApplyDelta evicts only the cache entries whose
-  /// k-level the delta could have perturbed; false restores the
-  /// wholesale clear (operator kill-switch, and the baseline the cache
-  /// benchmarks compare against).
-  bool cache_partial_invalidation = true;
-  /// Base solver configuration. The engine installs its own CoreIndex into
-  /// this before every dispatch; any caller-supplied core_index is ignored.
-  SolveOptions solve;
   /// Test seam: when set, invoked on the solving thread right before a
   /// cache-miss Solve() runs. Lets the dedup tests hold a solve open
   /// deterministically. Never set this in production.
@@ -160,8 +150,7 @@ class QueryEngine {
   /// snapshot carries one — both modes skip the decomposition then (kMmap
   /// views it in place, kCopy deserializes a copy); it is rebuilt from
   /// scratch only for index-less files. Returns nullptr and sets *error
-  /// when the file is unreadable, invalid, has no weights, or the solve
-  /// options are malformed (e.g. epsilon outside [0, 1)).
+  /// when the file is unreadable, invalid or has no weights.
   static std::unique_ptr<QueryEngine> OpenSnapshot(const std::string& path,
                                                    SnapshotLoadMode mode,
                                                    EngineOptions options,
@@ -208,10 +197,10 @@ class QueryEngine {
   /// current graph, rebuilds the CSR backend, maintains the CoreIndex
   /// incrementally (order-based, O(affected subgraph)), detaches the
   /// in-flight coalescing map, evicts exactly the cache entries the
-  /// delta could have changed (wholesale when
-  /// EngineOptions::cache_partial_invalidation is off), and atomically
-  /// swaps the serving state. In-flight queries complete against the
-  /// pre-delta state; queries arriving after the swap see the new graph.
+  /// delta could have changed (ResultCache::InvalidateForDelta's keep
+  /// rule), and atomically swaps the serving state. In-flight queries
+  /// complete against the pre-delta state; queries arriving after the
+  /// swap see the new graph.
   /// Returns false and sets *error when the delta does not apply cleanly
   /// (the serving state is then untouched). Concurrent ApplyDelta calls
   /// are serialized.
@@ -249,7 +238,6 @@ class QueryEngine {
     const Graph* graph = nullptr;
     const CoreIndex* index = nullptr;
     bool index_from_snapshot = false;
-    SolveOptions solve;  // base options with `index` installed
   };
 
   QueryEngine(std::unique_ptr<MappedSnapshot> mapped, Graph owned_graph,
@@ -258,8 +246,6 @@ class QueryEngine {
 
   std::shared_ptr<const ServingState> CurrentState() const;
 
-  SolveOptions base_solve_options_;
-  bool cache_partial_invalidation_;
   std::function<void()> solve_started_hook_for_test_;
 
   mutable std::mutex mutex_;

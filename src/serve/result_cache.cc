@@ -52,12 +52,6 @@ ResultCache::InsertOutcome ResultCache::Insert(
   return InsertOutcome::kInserted;
 }
 
-void ResultCache::Clear() {
-  lru_.clear();
-  map_.clear();
-  charge_ = 0;
-}
-
 void ResultCache::InvalidateForDelta(const DeltaImpact& impact) {
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (impact.Evicts(it->meta)) {

@@ -157,10 +157,6 @@ class ResultCache {
   InsertOutcome Insert(const std::string& key, const CacheEntryMeta& meta,
                        std::shared_ptr<const SearchResult> result);
 
-  /// Wholesale invalidation (the conservative fallback, and the disabled
-  /// partial-invalidation path). Not counted as partial_evicted.
-  void Clear();
-
   /// Delta-aware sweep: evicts exactly the entries impact.Evicts() says a
   /// delta could have changed, counts both outcomes.
   void InvalidateForDelta(const DeltaImpact& impact);

@@ -50,6 +50,26 @@ TEST(QueryTest, RejectsNegativeSumSurplusAlpha) {
   EXPECT_NE(ValidateQuery(q, g), "");
 }
 
+// w(V) + |param| * |V| bounds |f(H)|: a parameter that overflows it could
+// make an influence infinite, and "inf" is not JSON.
+TEST(QueryTest, RejectsParametersThatOverflowTheInfluenceBound) {
+  const Graph g = TwoTrianglesAndK4();  // 10 vertices
+  Query q;
+  q.aggregation = AggregationSpec::WeightDensity(-1e308);
+  EXPECT_NE(ValidateQuery(q, g).find("weight-density beta"),
+            std::string::npos);
+  q.aggregation = AggregationSpec::WeightDensity(-1e300);
+  EXPECT_EQ(ValidateQuery(q, g), "");
+  q.aggregation = AggregationSpec::SumSurplus(1e308);
+  EXPECT_NE(ValidateQuery(q, g).find("sum-surplus alpha"), std::string::npos);
+  q.aggregation = AggregationSpec::SumSurplus(1e300);
+  EXPECT_EQ(ValidateQuery(q, g), "");
+  // Inactive parameters are not checked: beta means nothing under sum.
+  q.aggregation = AggregationSpec::Sum();
+  q.aggregation.beta = -1e308;
+  EXPECT_EQ(ValidateQuery(q, g), "");
+}
+
 TEST(QueryTest, SizeConstrainedAccessors) {
   const Graph g = TwoTrianglesAndK4();
   Query q;

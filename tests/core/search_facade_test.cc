@@ -122,7 +122,7 @@ TEST(SolveTest, ExactSolverViaFacade) {
 // Regression: a user-supplied --epsilon of 1.0 (or anything outside
 // [0, 1)) used to sail through the tools into ImprovedSearch's
 // TICL_CHECK and abort the process; ValidateSolveOptions is the clean
-// gate the tools and the serve layer now use.
+// gate ticl_query now uses.
 TEST(ValidateSolveOptionsTest, RejectsEpsilonOutsideHalfOpenUnitRange) {
   SolveOptions options;
   EXPECT_EQ(ValidateSolveOptions(options), "");  // default 0.1

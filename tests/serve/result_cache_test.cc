@@ -147,18 +147,6 @@ TEST(ResultCacheTest, InvalidateForDeltaSweepsAndCounts) {
   EXPECT_EQ(cache.charge(), 9u);  // k4 + k7 remain
 }
 
-TEST(ResultCacheTest, ClearDropsEverythingWithoutPartialCounts) {
-  ResultCache cache(ResultCacheOptions{});
-  cache.Insert("a", Meta(2), MakeResult({3}));
-  cache.Insert("b", Meta(3), MakeResult({4}));
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.charge(), 0u);
-  EXPECT_EQ(cache.Lookup("a"), nullptr);
-  EXPECT_EQ(cache.counters().partial_evicted, 0u);
-  EXPECT_EQ(cache.counters().partial_kept, 0u);
-}
-
 TEST(ResultCacheTest, PendingMapLifecycle) {
   ResultCache cache(ResultCacheOptions{});
   EXPECT_EQ(cache.FindPending("a"), nullptr);

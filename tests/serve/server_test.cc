@@ -594,6 +594,15 @@ TEST(ServerTest, MalformedAndOversizedLinesGetErrorsStreamStaysUsable) {
   EXPECT_NE(response.find("\"kind\": \"invalid\""), std::string::npos)
       << response;
 
+  // A beta whose influence bound overflows would answer "influence": inf,
+  // which is not JSON; it is refused as invalid instead.
+  client.SendLine(
+      R"({"id": 5, "k": 2, "r": 3, "f": "weight-density", "beta": -1e308})");
+  response = client.ReadLine();
+  EXPECT_NE(response.find("\"kind\": \"invalid\""), std::string::npos)
+      << response;
+  EXPECT_EQ(response.find("\"influence\""), std::string::npos) << response;
+
   // And a valid query still gets a correct answer on the same socket.
   Query query;
   query.k = 2;
@@ -608,7 +617,7 @@ TEST(ServerTest, MalformedAndOversizedLinesGetErrorsStreamStaysUsable) {
   const ServerStats stats = harness.server().stats();
   EXPECT_EQ(stats.parse_errors, 3u);  // bad k, garbage, oversized
   EXPECT_EQ(stats.oversized_lines, 1u);
-  EXPECT_EQ(stats.invalid_queries, 1u);
+  EXPECT_EQ(stats.invalid_queries, 2u);
 }
 
 TEST(ServerTest, AdminDisabledRefusesCommands) {

@@ -223,6 +223,9 @@ TEST_F(ToolsTest, UsageErrorsExitOne) {
       {TICL_SERVED_BIN, "--snapshot", snap, "--cache-ttl-ms", "5"},
       {TICL_QUERY_BIN, "--snapshot", snap, "--snapshot-format", "1"},
       {TICL_QUERY_BIN, "--snapshot", snap, "--output", "jsn"},
+      {TICL_QUERY_BIN, "--snapshot", snap, "--solver", "naive", "--s", "5"},
+      {TICL_QUERY_BIN, "--snapshot", snap, "--solver", "min-peel", "--f",
+       "sum"},
   };
   for (const std::vector<std::string>& args : cases) {
     const RunResult run = Run(args);
@@ -257,6 +260,27 @@ TEST_F(ToolsTest, FlagErrorsNameTheFlag) {
   EXPECT_NE(Run({TICL_QUERY_BIN, "--output", "jsn"})
                 .err.find("invalid --output: jsn"),
             std::string::npos);
+  EXPECT_NE(Run({TICL_QUERY_BIN, "--snapshot", *base_, "--solver",
+                 "max-components", "--f", "max", "--s", "9"})
+                .err.find("--solver max-components needs an unconstrained "
+                          "query (no --s) with --f max"),
+            std::string::npos);
+  // The serving tools always dispatch by the hardness map and always
+  // invalidate partially: they have no solver or kill-switch flags.
+  for (const char* tool : {TICL_SERVE_BIN, TICL_SERVED_BIN}) {
+    for (const std::vector<std::string>& flag :
+         std::vector<std::vector<std::string>>{{"--solver", "naive"},
+                                               {"--epsilon", "0.5"},
+                                               {"--no-partial-invalidation"}}) {
+      std::vector<std::string> args = {tool, "--snapshot", *base_};
+      args.insert(args.end(), flag.begin(), flag.end());
+      const RunResult run = Run(args);
+      EXPECT_EQ(run.exit_code, 1) << tool << " " << flag[0] << "\n" << run.err;
+      EXPECT_NE(run.err.find("unknown argument: " + flag[0]),
+                std::string::npos)
+          << tool << " " << flag[0] << "\n" << run.err;
+    }
+  }
 }
 
 TEST_F(ToolsTest, BadGenerateSpecsExitTwo) {

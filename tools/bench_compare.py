@@ -24,6 +24,9 @@ Rules
   (a 0 -> x change has no meaningful ratio; it is reported as info).
 * Shared CI runners are noisy: --threshold is deliberately generous, and
   the job should treat this as a tripwire, not a microbenchmark oracle.
+  Each compared value prints the coefficient of variation (CV) of its
+  repetitions on both sides; values whose current CV exceeds threshold/3
+  are listed as "noisy". The spread never changes the exit status.
 
 Exit status: 0 ok / nothing comparable, 1 regression, 2 usage or parse
 error.
@@ -55,15 +58,22 @@ def load(path):
     return benches
 
 
-def median(rows, key):
-    """Median of `key` over the repetitions that carry it, else None."""
+def summary(rows, key):
+    """(median, CV) of `key` over the repetitions that carry it, where CV
+    is stdev / |mean|; None where undefined (CV needs two values and a
+    nonzero mean)."""
     values = []
     for row in rows:
         try:
             values.append(float(row[key]))
         except (KeyError, TypeError, ValueError):
             pass
-    return statistics.median(values) if values else None
+    if not values:
+        return None, None
+    mean = statistics.mean(values)
+    cv = (statistics.stdev(values) / abs(mean)
+          if len(values) > 1 and mean else None)
+    return statistics.median(values), cv
 
 
 def parse_counter_spec(spec):
@@ -91,10 +101,14 @@ def main():
     counters = [parse_counter_spec(spec) for spec in args.counter]
 
     regressions = []
+    noisy = []
+    noisy_cv = args.threshold / 3
     compared = 0
 
-    def check(bench_name, metric, base_value, cur_value, better):
+    def check(bench_name, metric, base_rows, cur_rows, better):
         nonlocal compared
+        base_value, base_cv = summary(base_rows, metric)
+        cur_value, cur_cv = summary(cur_rows, metric)
         if base_value is None or cur_value is None:
             return
         if base_value == 0:
@@ -112,9 +126,13 @@ def main():
             regressions.append(
                 f"{bench_name} {metric}: {base_value:g} -> {cur_value:g} "
                 f"({change:+.1%} worse, threshold {args.threshold:.0%})")
+        if cur_cv is not None and cur_cv > noisy_cv:
+            noisy.append(f"{bench_name} {metric}: cv {cur_cv:.1%}")
+        spread = " -> ".join("n/a" if c is None else f"{c:.1%}"
+                             for c in (base_cv, cur_cv))
         print(f"  {marker} {bench_name} {metric}: "
               f"{base_value:g} -> {cur_value:g} ({change:+.1%} "
-              f"{'worse' if change > 0 else 'better'})")
+              f"{'worse' if change > 0 else 'better'}) cv {spread}")
 
     for name in sorted(set(baseline) | set(current)):
         if name not in baseline:
@@ -124,11 +142,15 @@ def main():
             print(f"  gone {name} (baseline only)")
             continue
         base, cur = baseline[name], current[name]
-        check(name, "real_time", median(base, "real_time"),
-              median(cur, "real_time"), "lower")
+        check(name, "real_time", base, cur, "lower")
         for counter_name, direction in counters:
-            check(name, counter_name, median(base, counter_name),
-                  median(cur, counter_name), direction)
+            check(name, counter_name, base, cur, direction)
+
+    if noisy:
+        print(f"\nbench_compare: {len(noisy)} noisy value(s), current cv "
+              f"over {noisy_cv:.1%} (threshold/3):")
+        for line in noisy:
+            print(f"  {line}")
 
     if regressions:
         print(f"\nbench_compare: {len(regressions)} regression(s) over "

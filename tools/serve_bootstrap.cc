@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "core/search.h"
 #include "util/timing.h"
 
 namespace ticl::tools {
@@ -21,14 +20,7 @@ constexpr char kEngineFlagsUsage[] =
     "concurrency)\n"
     "  --cache N          LRU result-cache budget in cached community\n"
     "                     members (size-aware), 0 disables "
-    "(default 1048576)\n"
-    "  --no-partial-invalidation\n"
-    "                     deltas clear the whole result cache instead\n"
-    "                     of only the affected k-levels (kill-switch)\n"
-    "  --solver NAME      auto|naive|improved|approx|exact|local-greedy|\n"
-    "                     local-random|min-peel|max-components "
-    "(default auto)\n"
-    "  --epsilon X        approximation ratio for --solver approx\n";
+    "(default 1048576)\n";
 
 void PrintUsage(const ToolUsage& usage) {
   std::printf("usage: %s --snapshot PATH [options]\n\n%s%s\n%s", usage.name,
@@ -48,12 +40,6 @@ bool ParseFlag(ArgReader& args, EngineFlags* flags,
   if (arg == "--cache") {
     return args.TakeUnsigned(&flags->engine.cache_member_budget);
   }
-  if (arg == "--no-partial-invalidation") {
-    flags->engine.cache_partial_invalidation = false;
-    return true;
-  }
-  if (arg == "--solver") return args.Take(&flags->solver);
-  if (arg == "--epsilon") return args.TakeDouble(&flags->engine.solve.epsilon);
   return tool_flag(args);
 }
 
@@ -85,34 +71,25 @@ int ParseCommandLine(int argc, char** argv, const ToolUsage& usage,
   return kServe;
 }
 
-std::unique_ptr<QueryEngine> OpenEngine(const EngineFlags& flags,
-                                        int* exit_status) {
-  const auto fail = [exit_status](int status, const std::string& message) {
+std::unique_ptr<QueryEngine> OpenEngine(const EngineFlags& flags) {
+  const auto fail = [](const std::string& message) {
     std::fprintf(stderr, "error: %s\n", message.c_str());
-    *exit_status = status;
     return nullptr;
   };
-  EngineOptions options = flags.engine;
-  if (!ParseSolverKind(flags.solver, &options.solve.solver)) {
-    return fail(1, "unknown solver: " + flags.solver);
-  }
-  const std::string options_problem = ValidateSolveOptions(options.solve);
-  if (!options_problem.empty()) return fail(1, options_problem);
-
   std::string error;
   WallTimer start_timer;
   auto engine = QueryEngine::OpenSnapshot(
       flags.snapshot_path,
       flags.mmap ? SnapshotLoadMode::kMmap : SnapshotLoadMode::kCopy,
-      options, &error);
-  if (engine == nullptr) return fail(2, error);
+      flags.engine, &error);
+  if (engine == nullptr) return fail(error);
   // Delta chain: each file names its parent by fingerprint, so a
   // mis-ordered chain fails with a chain error before any mutation;
   // ApplyDelta maintains the core index incrementally instead of
   // re-running the decomposition.
   for (const std::string& delta_path : flags.delta_paths) {
     if (!engine->ApplyDeltaSnapshotFile(delta_path, &error)) {
-      return fail(2, error);
+      return fail(error);
     }
   }
   std::fprintf(stderr,

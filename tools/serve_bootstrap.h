@@ -1,10 +1,10 @@
 // Start-up shared by the serving tools (ticl_serve and ticl_served).
 //
 // Both open one QueryEngine over a snapshot plus a delta chain, configured
-// by the same eight flags: --snapshot, --delta, --mmap, --threads,
-// --cache, --no-partial-invalidation, --solver and --epsilon. Each flag's
-// usage text, strict parse and EngineOptions field are defined once here;
-// a tool adds only its front-end flags.
+// by the same five flags: --snapshot, --delta, --mmap, --threads and
+// --cache. Each flag's usage text, strict parse and EngineOptions field
+// are defined once here; a tool adds only its front-end flags. Every
+// query is answered by Solve's kAuto dispatch.
 
 #ifndef TICL_TOOLS_SERVE_BOOTSTRAP_H_
 #define TICL_TOOLS_SERVE_BOOTSTRAP_H_
@@ -25,8 +25,7 @@ struct EngineFlags {
   std::string snapshot_path;
   std::vector<std::string> delta_paths;  // applied in chain order
   bool mmap = false;
-  std::string solver = "auto";
-  /// --threads, --cache, --no-partial-invalidation and --epsilon.
+  /// --threads and --cache.
   EngineOptions engine;
 };
 
@@ -54,12 +53,10 @@ inline constexpr int kServe = -1;
 int ParseCommandLine(int argc, char** argv, const ToolUsage& usage,
                      const ToolFlagParser& tool_flag, EngineFlags* flags);
 
-/// Checks the solver flags, opens the snapshot (copy-loaded, or mapped
-/// with --mmap), applies the --delta chain and prints the "opened ..."
-/// line to stderr. On failure prints the error and returns nullptr with
-/// *exit_status set: 1 for bad solver flags, 2 for an IO or chain error.
-std::unique_ptr<QueryEngine> OpenEngine(const EngineFlags& flags,
-                                        int* exit_status);
+/// Opens the snapshot (copy-loaded, or mapped with --mmap), applies the
+/// --delta chain and prints the "opened ..." line to stderr. On an IO or
+/// chain error prints it and returns nullptr; the tool then exits 2.
+std::unique_ptr<QueryEngine> OpenEngine(const EngineFlags& flags);
 
 /// The cache and delta counters of a tool's closing stats line: "cache N
 /// hits (N negative) / N misses / N coalesced / N uncacheable, N deltas

@@ -115,7 +115,8 @@ void PrintUsage() {
       "solver:\n"
       "  --solver NAME         auto|naive|improved|approx|exact|local-greedy|"
       "local-random|\n"
-      "                        min-peel|max-components (default auto)\n"
+      "                        min-peel|max-components (default auto); a\n"
+      "                        solver that cannot answer the query exits 1\n"
       "  --epsilon X           approximation ratio for --solver approx\n"
       "  --threads N           parallel local search workers\n"
       "\n"
@@ -169,11 +170,26 @@ bool ParseFlag(ticl::tools::ArgReader& args, CliOptions* options) {
   return args.Unknown();
 }
 
-bool ResolveSolver(const std::string& name, ticl::SolverKind* kind,
-                   std::string* error) {
-  if (ticl::ParseSolverKind(name, kind)) return true;
-  *error = "unknown solver: " + name;
-  return false;
+/// "" when `solver` can answer `query`, else why not (Solve would abort).
+/// naive and approx answer exactly the queries auto gives to improved;
+/// improved, min-peel and max-components the ones auto gives to them. The
+/// other solvers answer every valid query.
+std::string SolverFitProblem(ticl::SolverKind solver,
+                             const ticl::Query& query) {
+  using ticl::SolverKind;
+  const SolverKind needs =
+      solver == SolverKind::kNaive || solver == SolverKind::kApprox
+          ? SolverKind::kImproved
+          : solver;
+  const char* requirement =
+      needs == SolverKind::kImproved
+          ? "a monotone aggregation (sum, or sum-surplus with alpha >= 0)"
+      : needs == SolverKind::kMinPeel       ? "--f min"
+      : needs == SolverKind::kMaxComponents ? "--f max"
+                                            : nullptr;
+  if (requirement == nullptr || ticl::AutoSolverFor(query) == needs) return "";
+  return "--solver " + ticl::SolverKindName(solver) +
+         " needs an unconstrained query (no --s) with " + requirement;
 }
 
 bool BuildGraph(const CliOptions& options, ticl::Graph* g,
@@ -328,14 +344,17 @@ int main(int argc, char** argv) {
   }
 
   ticl::SolveOptions solve_options;
-  if (!ResolveSolver(options.solver, &solve_options.solver, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
+  if (!ticl::ParseSolverKind(options.solver, &solve_options.solver)) {
+    std::fprintf(stderr, "error: unknown solver: %s\n",
+                 options.solver.c_str());
     return 1;
   }
   solve_options.epsilon = options.epsilon;
   solve_options.local.num_threads = options.threads;
-  const std::string options_problem =
-      ticl::ValidateSolveOptions(solve_options);
+  std::string options_problem = ticl::ValidateSolveOptions(solve_options);
+  if (options_problem.empty()) {
+    options_problem = SolverFitProblem(solve_options.solver, options.query);
+  }
   if (!options_problem.empty()) {
     std::fprintf(stderr, "error: %s\n", options_problem.c_str());
     return 1;

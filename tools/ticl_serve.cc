@@ -97,9 +97,8 @@ int main(int argc, char** argv) {
       },
       &options.engine);
   if (parsed != ticl::tools::kServe) return parsed;
-  int exit_status = 0;
-  const auto engine = ticl::tools::OpenEngine(options.engine, &exit_status);
-  if (engine == nullptr) return exit_status;
+  const auto engine = ticl::tools::OpenEngine(options.engine);
+  if (engine == nullptr) return 2;
 
   std::FILE* in = stdin;
   if (options.queries_path != "-") {

@@ -105,9 +105,8 @@ int main(int argc, char** argv) {
       },
       &engine_flags);
   if (parsed != ticl::tools::kServe) return parsed;
-  int exit_status = 0;
-  const auto engine = ticl::tools::OpenEngine(engine_flags, &exit_status);
-  if (engine == nullptr) return exit_status;
+  const auto engine = ticl::tools::OpenEngine(engine_flags);
+  if (engine == nullptr) return 2;
 
   std::string error;
   ticl::Server server(engine.get(), server_options);
