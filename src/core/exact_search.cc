@@ -73,17 +73,24 @@ void EnumerateRecursive(const Graph& g, const Query& query,
   }
 }
 
+/// Subsets of `universe` the enumeration visits, clamped as above.
+std::uint64_t PredictedSubsets(const Graph& g, const Query& query,
+                               const ExactOptions& options,
+                               const VertexList& universe) {
+  return CountSubsetsClamped(
+      universe.size(),
+      std::min<std::uint64_t>(query.EffectiveSizeLimit(g), universe.size()),
+      options.max_subsets);
+}
+
 /// Enumerates candidates among `universe` and returns the top-r, applying
 /// the optional maximality filter.
 std::vector<Community> EnumerateTopR(const Graph& g, const Query& query,
                                      const ExactOptions& options,
                                      const VertexList& universe,
                                      SearchStats* stats) {
-  const std::uint64_t predicted = CountSubsetsClamped(
-      universe.size(),
-      std::min<std::uint64_t>(query.EffectiveSizeLimit(g), universe.size()),
-      options.max_subsets);
-  TICL_CHECK_MSG(predicted <= options.max_subsets,
+  TICL_CHECK_MSG(PredictedSubsets(g, query, options, universe) <=
+                     options.max_subsets,
                  "instance too large for exact enumeration; raise "
                  "ExactOptions::max_subsets only if you mean it");
 
@@ -143,6 +150,15 @@ std::vector<Community> EnumerateTopR(const Graph& g, const Query& query,
 }
 
 }  // namespace
+
+std::uint64_t ExactSubsetCount(const Graph& g, const Query& query,
+                               const ExactOptions& options) {
+  TICL_CHECK_MSG(ValidateQuery(query, g).empty(), "invalid query");
+  // TONIC rounds enumerate shrinking universes, so the first (the whole
+  // maximal k-core) is the largest.
+  return PredictedSubsets(g, query, options,
+                          IndexedMaximalKCore(options.core_index, g, query.k));
+}
 
 SearchResult ExactSearch(const Graph& g, const Query& query,
                          const ExactOptions& options) {

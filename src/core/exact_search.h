@@ -42,6 +42,14 @@ struct ExactOptions {
   const CoreIndex* core_index = nullptr;
 };
 
+/// Subsets ExactSearch would enumerate for `query` (for TONIC, in its
+/// first and largest round), saturating at options.max_subsets + 1.
+/// ExactSearch aborts when this exceeds options.max_subsets, so callers
+/// serving untrusted input check it first. Preconditions (checked): valid
+/// query.
+std::uint64_t ExactSubsetCount(const Graph& g, const Query& query,
+                               const ExactOptions& options = {});
+
 /// Preconditions (checked): valid query. Works for any aggregation, with or
 /// without size constraint (unconstrained enumerates up to the k-core
 /// size). TONIC queries greedily re-enumerate after excluding the vertices

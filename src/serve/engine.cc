@@ -7,6 +7,7 @@
 
 #include "algo/core_maintenance.h"
 #include "core/search.h"
+#include "serve/protocol.h"
 #include "serve/snapshot.h"
 #include "util/check.h"
 
@@ -30,6 +31,19 @@ ResultCacheOptions CacheOptionsFor(const EngineOptions& options) {
   ResultCacheOptions cache;
   cache.member_budget = options.cache_member_budget;
   return cache;
+}
+
+/// Hands out the result and the bytes of one answer, both aliasing it
+/// (the bytes take over `answer`'s reference instead of adding one).
+EngineResponse Respond(std::shared_ptr<const Answer> answer, bool cache_hit) {
+  EngineResponse response;
+  response.result =
+      std::shared_ptr<const SearchResult>(answer, &answer->result);
+  const std::string* bytes = &answer->communities_json;
+  response.communities_json =
+      std::shared_ptr<const std::string>(std::move(answer), bytes);
+  response.cache_hit = cache_hit;
+  return response;
 }
 
 }  // namespace
@@ -158,9 +172,9 @@ EngineResponse QueryEngine::Run(const Query& query) {
     state = state_;
     generation = generation_;
     if (cache_.enabled()) {
-      if (std::shared_ptr<const SearchResult> cached = cache_.Lookup(key)) {
+      if (std::shared_ptr<const Answer> cached = cache_.Lookup(key)) {
         ++stats_.cache_hits;
-        return {std::move(cached), true};
+        return Respond(std::move(cached), true);
       }
     }
     pending = cache_.FindPending(key);
@@ -184,18 +198,21 @@ EngineResponse QueryEngine::Run(const Query& query) {
     // Another thread is already solving this exact query (possibly against
     // an older serving state — it was admitted before any swap, so its
     // answer is as valid as ours would have been at arrival time).
-    return {pending->future.get(), true};
+    return Respond(pending->future.get(), true);
   }
 
-  std::shared_ptr<SearchResult> result;
+  std::shared_ptr<Answer> answer;
   try {
     // The test hook lives inside the try so a throwing hook exercises
     // the same retirement path a throwing solver would.
     if (solve_started_hook_for_test_) solve_started_hook_for_test_();
     SolveOptions options;
     options.core_index = state->index;
-    result = std::make_shared<SearchResult>(
-        Solve(*state->graph, query, options));
+    answer = std::make_shared<Answer>();
+    answer->result = Solve(*state->graph, query, options);
+    // Formatted here, once, off any lock: every reply that serves this
+    // answer — hits and coalesced waiters included — shares the bytes.
+    answer->communities_json = FormatCommunitiesJson(answer->result);
   } catch (...) {
     // Solve normally aborts on contract violations, but allocation (or a
     // future solver) can throw. Retire the pending entry and fail its
@@ -215,7 +232,7 @@ EngineResponse QueryEngine::Run(const Query& query) {
     // cache: the delta may have changed this very answer (it stays a
     // plain miss — it did answer its caller).
     if (cache_.enabled() && generation == generation_) {
-      if (cache_.Insert(key, MetaFor(query), result) ==
+      if (cache_.Insert(key, MetaFor(query), answer) ==
           ResultCache::InsertOutcome::kUncacheable) {
         // Reclassify: this solve's answer can never be cached (its charge
         // alone exceeds the whole budget), which the miss counter claimed
@@ -225,8 +242,8 @@ EngineResponse QueryEngine::Run(const Query& query) {
       }
     }
   }
-  pending->promise.set_value(result);
-  return {std::move(result), false};
+  pending->promise.set_value(answer);
+  return Respond(std::move(answer), false);
 }
 
 std::future<EngineResponse> QueryEngine::Submit(const Query& query) {
@@ -372,6 +389,7 @@ EngineStats QueryEngine::stats() const {
   out.cache_partial_kept = cache.partial_kept;
   out.cache_partial_evicted = cache.partial_evicted;
   out.cache_charge = cache_.charge();
+  out.cache_bytes = cache_.bytes();
   return out;
 }
 

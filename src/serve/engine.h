@@ -35,12 +35,17 @@
 // runs Solve, the rest block on its pending future instead of repeating
 // seconds of graph work.
 //
+// Every answer is formatted once, on the thread that solved it: the
+// cache entry (an Answer, see serve/result_cache.h) holds the result and
+// its "communities" reply bytes side by side, so a hit hands both out
+// without re-running the formatter over a possibly graph-sized result.
+//
 // Thread safety: every public method is safe to call concurrently.
-// Results are handed out as shared_ptr<const SearchResult>; cached
-// entries are shared, never copied per hit. References returned by
-// graph() / core_index() stay valid until the *next* ApplyDelta, not
-// forever — callers that interleave queries with updates should finish
-// reading before applying.
+// Results and their bytes are handed out as shared_ptr<const ...> into
+// one immutable Answer; cached entries are shared, never copied per hit.
+// References returned by graph() / core_index() stay valid until the
+// *next* ApplyDelta, not forever — callers that interleave queries with
+// updates should finish reading before applying.
 
 #ifndef TICL_SERVE_ENGINE_H_
 #define TICL_SERVE_ENGINE_H_
@@ -74,6 +79,8 @@ struct EngineOptions {
   /// entry-count cap would let a few huge results blow the memory budget.
   /// A single result larger than the whole budget is not cached at all
   /// (counted in EngineStats::cache_uncacheable). 0 disables caching.
+  /// An entry also holds its formatted reply bytes (cache_bytes), which
+  /// the budget does not charge.
   std::size_t cache_member_budget = 1u << 20;
   /// Test seam: when set, invoked on the solving thread right before a
   /// cache-miss Solve() runs. Lets the dedup tests hold a solve open
@@ -111,18 +118,26 @@ struct EngineStats {
   std::uint64_t cache_partial_evicted = 0;
   /// Current total charge (member count) of resident cache entries.
   std::uint64_t cache_charge = 0;
+  /// Formatted "communities" reply bytes held by resident cache entries:
+  /// memory beside cache_charge's member ids that the budget does not
+  /// count (up to about 12 bytes per member).
+  std::uint64_t cache_bytes = 0;
   /// Completed ApplyDelta() calls.
   std::uint64_t deltas_applied = 0;
 };
 
-/// One answered query. `result` is shared with the cache — never mutated
-/// after construction. `cache_hit` is true when no Solve ran for this
-/// call (a resident entry or a coalesced in-flight miss served it).
-/// `error` is only ever non-empty on the callback Submit path: it
-/// carries the message of an exception Run() threw (result is null
-/// then). The future/Run paths propagate exceptions instead.
+/// One answered query. `result` and `communities_json` point into one
+/// immutable Answer shared with the cache: the result and its
+/// FormatCommunitiesJson bytes, formatted once when it was solved.
+/// Reply writers pass the bytes to FormatResultLine instead of
+/// re-formatting the result. `cache_hit` is true when no Solve ran for
+/// this call (a resident entry or a coalesced in-flight miss served
+/// it). `error` is only ever non-empty on the callback Submit path: it
+/// carries the message of an exception Run() threw (both pointers are
+/// null then). The future/Run paths propagate exceptions instead.
 struct EngineResponse {
   std::shared_ptr<const SearchResult> result;
+  std::shared_ptr<const std::string> communities_json;
   bool cache_hit = false;
   std::string error;
 };
@@ -174,8 +189,8 @@ class QueryEngine {
   /// like Solve().
   std::string Validate(const Query& query) const;
 
-  /// Answers on the calling thread (cache -> coalesce -> indexed Solve ->
-  /// cache fill).
+  /// Answers on the calling thread (cache -> coalesce -> indexed Solve
+  /// and format -> cache fill).
   EngineResponse Run(const Query& query);
 
   /// Queues the query on the pool. During teardown, when the pool no

@@ -518,18 +518,26 @@ std::string FormatCommunitiesJson(const SearchResult& result) {
 }
 
 std::string FormatResultLine(const std::string& id_json, const Query& query,
-                             const SearchResult& result, bool cached) {
+                             double elapsed_seconds, bool cached,
+                             std::string_view communities_json) {
   std::string out = "{\"id\": " + id_json + ", \"query\": \"" +
                     JsonEscape(QueryToString(query)) + "\", \"cached\": " +
                     (cached ? "true" : "false");
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), ", \"elapsed_seconds\": %.6f, ",
-                result.stats.elapsed_seconds);
+                elapsed_seconds);
   out += buffer;
   out += "\"communities\": ";
-  out += FormatCommunitiesJson(result);
+  out.reserve(out.size() + communities_json.size() + 2);
+  out += communities_json;
   out += "}\n";
   return out;
+}
+
+std::string FormatResultLine(const std::string& id_json, const Query& query,
+                             const SearchResult& result, bool cached) {
+  return FormatResultLine(id_json, query, result.stats.elapsed_seconds,
+                          cached, FormatCommunitiesJson(result));
 }
 
 std::string FormatErrorLine(const std::string& id_json,

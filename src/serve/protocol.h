@@ -16,6 +16,11 @@
 //    "communities": [{"influence": 42.0, "members": [1, 2, 3]}]}
 //   {"id": "q1", "error": "...", "kind": "parse"}
 //
+// "elapsed_seconds" is the solve time of the answer, measured once when
+// it was computed. A cache hit ("cached": true) repeats the solve time
+// of the cached answer; it is not the time this request took. Clients
+// that want request latency time it themselves.
+//
 // Unknown request fields are ignored (forward compatibility); unknown or
 // malformed *values* of known fields are hard errors. A network listener
 // cannot trust its input the way a batch pipe could, so the parser is a
@@ -86,13 +91,23 @@ bool ParseQueryLine(const std::string& line, std::size_t line_number,
                     Query* query, std::string* id_json, std::string* error);
 
 /// The "communities" array payload of a result line:
-/// [{"influence": 42.0, "members": [1, 2, 3]}, ...]. Exposed separately
-/// so tests can compare the answer portion of a wire response
-/// byte-for-byte against an inline Solve() while ignoring the
-/// per-execution fields (cached, elapsed_seconds).
+/// [{"influence": 42.0, "members": [1, 2, 3]}, ...]. QueryEngine formats
+/// it once per solved answer and shares the bytes with every reply that
+/// serves the answer; tests compare it byte-for-byte against an inline
+/// Solve() while ignoring the per-request fields (cached,
+/// elapsed_seconds).
 std::string FormatCommunitiesJson(const SearchResult& result);
 
-/// One result reply, newline-terminated.
+/// One result reply, newline-terminated: the per-request header (id,
+/// query, cached, elapsed_seconds) followed by `communities_json`, the
+/// answer's preformatted FormatCommunitiesJson bytes. Cost is one copy
+/// of the body, whatever its member count.
+std::string FormatResultLine(const std::string& id_json, const Query& query,
+                             double elapsed_seconds, bool cached,
+                             std::string_view communities_json);
+
+/// The same reply formatted straight from a result (elapsed_seconds is
+/// result.stats.elapsed_seconds).
 std::string FormatResultLine(const std::string& id_json, const Query& query,
                              const SearchResult& result, bool cached);
 

@@ -24,24 +24,26 @@ std::size_t ResultCharge(const SearchResult& result) {
 ResultCache::ResultCache(const ResultCacheOptions& options)
     : member_budget_(options.member_budget) {}
 
-std::shared_ptr<const SearchResult> ResultCache::Lookup(
-    const std::string& key) {
+std::shared_ptr<const Answer> ResultCache::Lookup(const std::string& key) {
   const auto it = map_.find(key);
   if (it == map_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second);  // bump to MRU
-  if (it->second->result->communities.empty()) ++counters_.negative_hits;
-  return it->second->result;
+  if (it->second->answer->result.communities.empty()) {
+    ++counters_.negative_hits;
+  }
+  return it->second->answer;
 }
 
 ResultCache::InsertOutcome ResultCache::Insert(
     const std::string& key, const CacheEntryMeta& meta,
-    std::shared_ptr<const SearchResult> result) {
+    std::shared_ptr<const Answer> answer) {
   TICL_CHECK_MSG(enabled(), "Insert on a disabled cache");
-  TICL_CHECK_MSG(result != nullptr, "cannot cache a null result");
+  TICL_CHECK_MSG(answer != nullptr, "cannot cache a null answer");
   if (map_.find(key) != map_.end()) return InsertOutcome::kDuplicate;
-  const std::size_t charge = ResultCharge(*result);
+  const std::size_t charge = ResultCharge(answer->result);
   if (charge > member_budget_) return InsertOutcome::kUncacheable;
-  lru_.push_front(Entry{key, meta, std::move(result), charge});
+  bytes_ += answer->communities_json.size();
+  lru_.push_front(Entry{key, meta, std::move(answer), charge});
   map_.emplace(key, lru_.begin());
   charge_ += charge;
   while (charge_ > member_budget_) {
@@ -88,6 +90,7 @@ void ResultCache::ClearPending() { pending_.clear(); }
 
 void ResultCache::EraseEntry(std::list<Entry>::iterator it) {
   charge_ -= it->charge;
+  bytes_ -= it->answer->communities_json.size();
   map_.erase(it->key);
   lru_.erase(it);
 }

@@ -4,12 +4,16 @@
 // once per serving graph; everything after that is a cache question. This
 // module owns both halves of that question:
 //
-//   * the finished-result store — a size-aware LRU (entries charged by
+//   * the finished-answer store — a size-aware LRU (entries charged by
 //     total member count, so a few graph-sized answers cannot blow the
 //     memory budget) with explicit negative-result entries
 //     (zero-community answers are the cheapest entries there are, and
 //     the queries most likely to be repeated verbatim by probing
-//     clients);
+//     clients). An entry is an Answer: the result together with its
+//     formatted "communities" reply bytes, so a hit is served without
+//     formatting anything. The bytes are counted (bytes()) but not
+//     charged: the budget stays in members, and an entry's bytes are at
+//     most about 12 per member on top of the 4 its member ids take;
 //   * the in-flight coalescing map — concurrent misses on one key share a
 //     single Solve through a PendingSolve future.
 //
@@ -65,6 +69,14 @@ struct ResultCacheOptions {
   /// member count, floored at 1 so negative entries still cost
   /// something). 0 disables the cache entirely.
   std::size_t member_budget = 1u << 20;
+};
+
+/// One finished answer, immutable once built: the result and its
+/// FormatCommunitiesJson bytes, formatted once on the thread that solved
+/// it and shared by every reply that serves it.
+struct Answer {
+  SearchResult result;
+  std::string communities_json;
 };
 
 /// Counters owned by the cache itself; QueryEngine merges them into
@@ -124,8 +136,8 @@ struct DeltaImpact {
 /// A cache miss in flight: later arrivals for the same key wait on the
 /// future instead of re-running Solve.
 struct PendingSolve {
-  std::promise<std::shared_ptr<const SearchResult>> promise;
-  std::shared_future<std::shared_ptr<const SearchResult>> future =
+  std::promise<std::shared_ptr<const Answer>> promise;
+  std::shared_future<std::shared_ptr<const Answer>> future =
       promise.get_future().share();
 };
 
@@ -141,7 +153,7 @@ class ResultCache {
   bool enabled() const { return member_budget_ > 0; }
 
   /// Resident entry for `key`, bumped to MRU — or nullptr on a miss.
-  std::shared_ptr<const SearchResult> Lookup(const std::string& key);
+  std::shared_ptr<const Answer> Lookup(const std::string& key);
 
   enum class InsertOutcome {
     kInserted,
@@ -152,10 +164,10 @@ class ResultCache {
     kUncacheable,
   };
 
-  /// Inserts and runs the LRU budget sweep. `result` must not be null
+  /// Inserts and runs the LRU budget sweep. `answer` must not be null
   /// (a negative answer is an empty result, not a null one).
   InsertOutcome Insert(const std::string& key, const CacheEntryMeta& meta,
-                       std::shared_ptr<const SearchResult> result);
+                       std::shared_ptr<const Answer> answer);
 
   /// Delta-aware sweep: evicts exactly the entries impact.Evicts() says a
   /// delta could have changed, counts both outcomes.
@@ -185,6 +197,11 @@ class ResultCache {
   /// Current total charge (member count) of resident entries.
   std::size_t charge() const { return charge_; }
 
+  /// Formatted "communities" bytes held by resident entries (not
+  /// charged against the budget; reported so the memory they take is
+  /// visible).
+  std::size_t bytes() const { return bytes_; }
+
   /// Resident entry count.
   std::size_t size() const { return map_.size(); }
 
@@ -194,7 +211,7 @@ class ResultCache {
   struct Entry {
     std::string key;
     CacheEntryMeta meta;
-    std::shared_ptr<const SearchResult> result;
+    std::shared_ptr<const Answer> answer;
     std::size_t charge = 0;
   };
 
@@ -207,6 +224,7 @@ class ResultCache {
   std::unordered_map<std::string, std::list<Entry>::iterator> map_;
   std::unordered_map<std::string, std::shared_ptr<PendingSolve>> pending_;
   std::size_t charge_ = 0;
+  std::size_t bytes_ = 0;
   ResultCacheCounters counters_;
 };
 

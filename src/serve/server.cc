@@ -448,9 +448,11 @@ void Server::SubmitQuery(Connection* conn, const ParsedRequest& request) {
   }
   // The callback owns everything it touches: a shared_ptr keeps the
   // completion queue alive past any server teardown, and the reply is
-  // formatted on the worker thread, off the event loop. It fires exactly
-  // once even when the solve throws (null result + error message), so
-  // the in-flight slot is always returned.
+  // built on the worker thread, off the event loop — a per-request
+  // header around the answer's preformatted bytes, so a cache hit copies
+  // them once and formats nothing. It fires exactly once even when the
+  // solve throws (null result + error message), so the in-flight slot is
+  // always returned.
   engine_->Submit(
       request.query,
       [completions = completions_, conn_id = conn->id,
@@ -458,8 +460,10 @@ void Server::SubmitQuery(Connection* conn, const ParsedRequest& request) {
        query = request.query](EngineResponse response) {
         std::string line =
             response.result != nullptr
-                ? FormatResultLine(id_json, query, *response.result,
-                                   response.cache_hit)
+                ? FormatResultLine(id_json, query,
+                                   response.result->stats.elapsed_seconds,
+                                   response.cache_hit,
+                                   *response.communities_json)
                 : FormatErrorLine(id_json,
                                   "internal error: " +
                                       (response.error.empty()
@@ -517,6 +521,7 @@ void Server::HandleAdmin(Connection* conn, const ParsedRequest& request) {
              ", \"cache_partial_evicted\": " +
              U64(engine_stats.cache_partial_evicted) +
              ", \"cache_charge\": " + U64(engine_stats.cache_charge) +
+             ", \"cache_bytes\": " + U64(engine_stats.cache_bytes) +
              ", \"deltas_applied\": " + U64(engine_stats.deltas_applied) +
              "}, ";
     reply += "\"server\": {\"connections\": " + U64(connections_.size()) +
@@ -562,7 +567,14 @@ void Server::HandleAdmin(Connection* conn, const ParsedRequest& request) {
 }
 
 void Server::Reply(Connection* conn, std::string line) {
-  conn->out += line;
+  if (conn->pending_out() == 0) {
+    // The common case: nothing queued, so take the line's buffer instead
+    // of copying a possibly megabyte-sized reply on the event loop.
+    conn->out = std::move(line);
+    conn->out_offset = 0;
+  } else {
+    conn->out += line;
+  }
   if (conn->pending_out() > options_.max_write_buffer_bytes) {
     // Write backpressure: stop consuming requests from a peer that is
     // not consuming replies; the kernel receive buffer then fills and

@@ -167,10 +167,26 @@ TEST(ExactSearchDeathTest, GuardsHugeEnumeration) {
   weighted.SetWeights(std::vector<Weight>(80, 1.0));
   ExactOptions options;
   options.max_subsets = 1000;
+  // The fit check callers run first sees the same verdict as the guard.
+  EXPECT_GT(ExactSubsetCount(weighted,
+                             MakeQuery(2, 1, 0, AggregationSpec::Sum()),
+                             options),
+            options.max_subsets);
   EXPECT_DEATH(
       ExactSearch(weighted, MakeQuery(2, 1, 0, AggregationSpec::Sum()),
                   options),
       "too large");
+}
+
+TEST(ExactSearchTest, SubsetCountCoversTheMaximalKCore) {
+  const Graph g = TwoTrianglesAndK4();
+  // The 3-core is K4: C(4,1) + C(4,2) + C(4,3) + C(4,4) subsets.
+  EXPECT_EQ(ExactSubsetCount(g, MakeQuery(3, 1, 0, AggregationSpec::Sum())),
+            15u);
+  // The 2-core is all 10 vertices; s = 3 caps the subset size:
+  // C(10,1) + C(10,2) + C(10,3).
+  EXPECT_EQ(ExactSubsetCount(g, MakeQuery(2, 1, 3, AggregationSpec::Sum())),
+            175u);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "core/verification.h"
 #include "gen/chung_lu.h"
 #include "graph/graph_delta.h"
+#include "serve/protocol.h"
 #include "serve/snapshot.h"
 #include "testing/builders.h"
 
@@ -211,10 +214,13 @@ TEST(QueryEngineTest, LruEvictsLeastRecentlyUsedBySize) {
   c.k = 2;
   c.r = 3;  // charge 10
 
-  engine.Run(a);                            // cache: [a]      charge  4
-  engine.Run(b);                            // cache: [b, a]   charge 11
+  const std::size_t a_bytes = engine.Run(a).communities_json->size();
+  const std::size_t b_bytes = engine.Run(b).communities_json->size();
+  EXPECT_EQ(engine.stats().cache_bytes, a_bytes + b_bytes);  // [b, a]
   EXPECT_TRUE(engine.Run(a).cache_hit);     // cache: [a, b]
-  engine.Run(c);                            // 21 > 14: evicts b -> [c, a]
+  const std::size_t c_bytes = engine.Run(c).communities_json->size();
+  // 21 > 14: evicts b -> [c, a], and b's bytes leave with it.
+  EXPECT_EQ(engine.stats().cache_bytes, a_bytes + c_bytes);
   EXPECT_TRUE(engine.Run(a).cache_hit);     // a survived -> [a, c]
   EXPECT_FALSE(engine.Run(b).cache_hit);    // b was evicted
   const EngineStats stats = engine.stats();
@@ -388,6 +394,8 @@ TEST(QueryEngineCacheTest, EveryQueryLandsInExactlyOneOutcomeCounter) {
   EXPECT_EQ(uncached_stats.queries, 2u);
   EXPECT_EQ(uncached_stats.cache_misses, 0u);
   EXPECT_EQ(uncached_stats.cache_uncacheable, 2u);
+  EXPECT_EQ(uncached_stats.cache_charge, 0u);
+  EXPECT_EQ(uncached_stats.cache_bytes, 0u);
   ExpectOutcomeInvariant(uncached_stats);
 }
 
@@ -412,6 +420,7 @@ TEST(QueryEngineCacheTest, NegativeResultsAreCachedAndCounted) {
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_EQ(stats.cache_negative_hits, 1u);
   EXPECT_EQ(stats.cache_charge, 1u);  // floored, not free
+  EXPECT_EQ(stats.cache_bytes, 2u);   // "[]"
   ExpectOutcomeInvariant(stats);
 }
 
@@ -476,6 +485,7 @@ TEST(QueryEngineDeltaTest, ApplyDeltaInvalidatesTheCache) {
             after.result->communities[0].influence);
   EXPECT_EQ(engine.stats().cache_charge,
             after.result->communities[0].members.size());
+  EXPECT_EQ(engine.stats().cache_bytes, after.communities_json->size());
 }
 
 TEST(QueryEngineDeltaTest, InvalidDeltaLeavesServingStateUntouched) {
@@ -833,6 +843,172 @@ TEST(QueryEngineDeltaTest, RacingSiblingDeltasCannotApplyAgainstWrongBase) {
     EXPECT_TRUE(engine.graph().fingerprint() ==
                 ApplyDeltaToGraph(g, winner).fingerprint());
     EXPECT_EQ(engine.stats().deltas_applied, 1u);
+  }
+}
+
+// -- Formatted reply bytes --------------------------------------------------
+// Every answer is formatted once, when it is solved; whatever path serves
+// it must hand out exactly the bytes a fresh format of an inline Solve()
+// would produce.
+
+/// Checks the response's bytes against its own result and against the
+/// reference solve.
+void ExpectBytesOf(const EngineResponse& response, const SearchResult& want,
+                   std::size_t query_index) {
+  ASSERT_NE(response.result, nullptr) << "query " << query_index;
+  ASSERT_NE(response.communities_json, nullptr) << "query " << query_index;
+  EXPECT_EQ(*response.communities_json,
+            FormatCommunitiesJson(*response.result))
+      << "query " << query_index;
+  EXPECT_EQ(*response.communities_json, FormatCommunitiesJson(want))
+      << "query " << query_index;
+}
+
+TEST(QueryEngineBytesTest, MissAndHitShareTheBytesFormattedAtSolve) {
+  Graph g = WeightedChungLu(23, 400);
+  const Graph reference = g;
+  EngineOptions options;
+  options.num_threads = 1;
+  QueryEngine engine(std::move(g), options);
+
+  const std::vector<Query> queries = MixedQueries();
+  std::size_t resident_bytes = 0;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const SearchResult direct = Solve(reference, queries[i]);
+    const EngineResponse miss = engine.Run(queries[i]);
+    EXPECT_FALSE(miss.cache_hit) << "query " << i;
+    ExpectBytesOf(miss, direct, i);
+    const EngineResponse hit = engine.Run(queries[i]);
+    EXPECT_TRUE(hit.cache_hit) << "query " << i;
+    ExpectBytesOf(hit, direct, i);
+    // Shared, not re-formatted: the hit hands out the very same bytes.
+    EXPECT_EQ(hit.communities_json.get(), miss.communities_json.get());
+    resident_bytes += miss.communities_json->size();
+  }
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.cache_evictions, 0u);
+  EXPECT_EQ(stats.cache_bytes, resident_bytes);
+}
+
+TEST(QueryEngineBytesTest, UncacheableAndCacheOffSolvesFormatTheirOwnReply) {
+  Graph g = WeightedChungLu(23, 400);
+  const Graph reference = g;
+  const std::vector<Query> queries = MixedQueries();
+  // Budget 1 caches only negative answers; budget 0 caches nothing.
+  for (const std::size_t budget : {std::size_t{1}, std::size_t{0}}) {
+    EngineOptions options;
+    options.num_threads = 1;
+    options.cache_member_budget = budget;
+    QueryEngine engine(Graph(reference), options);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const SearchResult direct = Solve(reference, queries[i]);
+      ExpectBytesOf(engine.Run(queries[i]), direct, i);
+      ExpectBytesOf(engine.Run(queries[i]), direct, i);
+    }
+    const EngineStats stats = engine.stats();
+    EXPECT_GT(stats.cache_uncacheable, 0u) << "budget " << budget;
+    if (budget == 0) {
+      EXPECT_EQ(stats.cache_bytes, 0u);
+    }
+    ExpectOutcomeInvariant(stats);
+  }
+}
+
+TEST(QueryEngineBytesTest, CoalescedWaiterGetsTheOwnersBytes) {
+  Graph g = WeightedChungLu(23, 400);
+  const Graph reference = g;
+  // The hook holds each owner's solve until its twin has attached to the
+  // pending entry; `gate` is swapped per query under `gate_mutex`.
+  std::mutex gate_mutex;
+  std::shared_future<void> gate;
+  EngineOptions options;
+  options.num_threads = 2;
+  options.solve_started_hook_for_test = [&gate_mutex, &gate] {
+    std::shared_future<void> wait_for;
+    {
+      std::lock_guard<std::mutex> lock(gate_mutex);
+      wait_for = gate;
+    }
+    wait_for.wait();
+  };
+  QueryEngine engine(std::move(g), options);
+
+  const std::vector<Query> queries = MixedQueries();
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    std::promise<void> release;
+    {
+      std::lock_guard<std::mutex> lock(gate_mutex);
+      gate = release.get_future().share();
+    }
+    auto first = engine.Submit(queries[i]);
+    auto second = engine.Submit(queries[i]);
+    while (engine.stats().cache_coalesced != i + 1) {
+      std::this_thread::yield();
+    }
+    release.set_value();
+    const EngineResponse a = first.get();
+    const EngineResponse b = second.get();
+    EXPECT_NE(a.cache_hit, b.cache_hit) << "query " << i;
+    const SearchResult direct = Solve(reference, queries[i]);
+    ExpectBytesOf(a, direct, i);
+    ExpectBytesOf(b, direct, i);
+    EXPECT_EQ(a.communities_json.get(), b.communities_json.get())
+        << "query " << i;
+  }
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.cache_coalesced, queries.size());
+  EXPECT_EQ(stats.cache_misses, queries.size());
+}
+
+TEST(QueryEngineBytesTest, EntriesKeptAcrossADeltaKeepCorrectBytes) {
+  Graph g = WeightedChungLu(23, 400);
+  const Graph reference = g;
+  EngineOptions options;
+  options.num_threads = 1;
+  QueryEngine engine(std::move(g), options);
+
+  // Delete an edge inside the 2-shell: only core-2 vertices can move
+  // (down to 1), so every k = 3 entry provably survives and every k = 2
+  // entry goes.
+  const std::span<const VertexId> core = engine.core_index().core_numbers();
+  GraphDelta delta;
+  for (VertexId u = 0;
+       u < reference.num_vertices() && delta.delete_edges.empty(); ++u) {
+    for (const VertexId v : reference.neighbors(u)) {
+      if (u < v && core[u] == 2 && core[v] == 2) {
+        delta.delete_edges = {Edge{u, v}};
+        break;
+      }
+    }
+  }
+  ASSERT_FALSE(delta.delete_edges.empty()) << "fixture has no 2-shell edge";
+  const Graph edited = ApplyDeltaToGraph(reference, delta);
+
+  const std::vector<Query> queries = MixedQueries();
+  std::vector<std::shared_ptr<const std::string>> before;
+  for (const Query& q : queries) {
+    before.push_back(engine.Run(q).communities_json);
+  }
+  const std::uint64_t bytes_before = engine.stats().cache_bytes;
+  std::string error;
+  ASSERT_TRUE(engine.ApplyDelta(delta, &error)) << error;
+
+  std::uint64_t kept_bytes = 0;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    if (queries[i].k == 3) kept_bytes += before[i]->size();
+  }
+  // The evicted k = 2 entries took their bytes with them.
+  EXPECT_EQ(engine.stats().cache_bytes, kept_bytes);
+  EXPECT_LT(kept_bytes, bytes_before);
+
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const EngineResponse response = engine.Run(queries[i]);
+    EXPECT_EQ(response.cache_hit, queries[i].k == 3) << "query " << i;
+    if (response.cache_hit) {
+      EXPECT_EQ(response.communities_json.get(), before[i].get())
+          << "query " << i;
+    }
+    ExpectBytesOf(response, Solve(edited, queries[i]), i);
   }
 }
 

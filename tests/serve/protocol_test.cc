@@ -329,6 +329,29 @@ TEST(FormatTest, EmptyResult) {
   EXPECT_EQ(FormatCommunitiesJson(empty), "[]");
 }
 
+// The reply writers pass an answer's preformatted bytes; the line must be
+// byte-identical to formatting the result itself.
+TEST(FormatTest, PreformattedBodyMatchesResultForm) {
+  Query query;
+  query.k = 4;
+  query.r = 5;
+  query.aggregation = AggregationSpec::Avg();
+  SearchResult empty;
+  empty.stats.elapsed_seconds = 0.5;
+  for (const SearchResult& result : {TwoCommunityResult(), empty}) {
+    for (const bool cached : {false, true}) {
+      EXPECT_EQ(FormatResultLine("\"q1\"", query,
+                                 result.stats.elapsed_seconds, cached,
+                                 FormatCommunitiesJson(result)),
+                FormatResultLine("\"q1\"", query, result, cached));
+    }
+  }
+  EXPECT_EQ(FormatResultLine("\"q1\"", query, 0.5, true, "[]"),
+            "{\"id\": \"q1\", \"query\": \"" + QueryToString(query) +
+                "\", \"cached\": true, \"elapsed_seconds\": 0.500000, "
+                "\"communities\": []}\n");
+}
+
 TEST(FormatTest, ErrorLineEscapesMessage) {
   const std::string line =
       FormatErrorLine("7", "bad \"value\"\nline two", kErrorKindParse);

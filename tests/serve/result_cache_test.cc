@@ -11,20 +11,23 @@
 
 #include <gtest/gtest.h>
 
+#include "serve/protocol.h"
+
 namespace ticl {
 namespace {
 
-std::shared_ptr<const SearchResult> MakeResult(
+std::shared_ptr<const Answer> MakeResult(
     std::initializer_list<std::size_t> community_sizes) {
-  auto result = std::make_shared<SearchResult>();
+  auto answer = std::make_shared<Answer>();
   VertexId next = 0;
   for (const std::size_t size : community_sizes) {
     Community c;
     for (std::size_t i = 0; i < size; ++i) c.members.push_back(next++);
     c.influence = static_cast<double>(size);
-    result->communities.push_back(std::move(c));
+    answer->result.communities.push_back(std::move(c));
   }
-  return result;
+  answer->communities_json = FormatCommunitiesJson(answer->result);
+  return answer;
 }
 
 CacheEntryMeta Meta(VertexId k, bool total_weight_sensitive = false) {
@@ -85,13 +88,43 @@ TEST(ResultCacheTest, LruEvictsOldestFirstBySize) {
   EXPECT_LE(cache.charge(), 10u);
 }
 
+TEST(ResultCacheTest, BytesFollowResidentEntries) {
+  ResultCacheOptions options;
+  options.member_budget = 10;
+  ResultCache cache(options);
+  EXPECT_EQ(cache.bytes(), 0u);
+  const auto a = MakeResult({4});
+  const auto b = MakeResult({4});
+  const auto c = MakeResult({2});
+  cache.Insert("a", Meta(2), a);
+  cache.Insert("b", Meta(3), b);
+  EXPECT_EQ(cache.bytes(),
+            a->communities_json.size() + b->communities_json.size());
+  cache.Insert("c", Meta(4), c);  // 10 members: fits
+  cache.Insert("d", Meta(5), MakeResult({3}));  // 13 > 10: evicts a
+  EXPECT_EQ(cache.Lookup("a"), nullptr);
+  const std::size_t before = cache.bytes();
+  EXPECT_EQ(before, b->communities_json.size() + c->communities_json.size() +
+                        MakeResult({3})->communities_json.size());
+
+  DeltaImpact impact;
+  impact.evict_k_le = 3;  // evicts b
+  cache.InvalidateForDelta(impact);
+  EXPECT_EQ(cache.bytes(), before - b->communities_json.size());
+  // Uncacheable and duplicate inserts hold no bytes.
+  cache.Insert("c", Meta(4), MakeResult({1}));
+  cache.Insert("huge", Meta(9), MakeResult({11}));
+  EXPECT_EQ(cache.bytes(), before - b->communities_json.size());
+}
+
 TEST(ResultCacheTest, NegativeEntriesChargeOneAndCountHits) {
   ResultCache cache(ResultCacheOptions{});
   cache.Insert("none", Meta(7), MakeResult({}));
   EXPECT_EQ(cache.charge(), 1u);
   const auto hit = cache.Lookup("none");
   ASSERT_NE(hit, nullptr);
-  EXPECT_TRUE(hit->communities.empty());
+  EXPECT_TRUE(hit->result.communities.empty());
+  EXPECT_EQ(hit->communities_json, "[]");
   EXPECT_EQ(cache.counters().negative_hits, 1u);
 }
 

@@ -777,5 +777,96 @@ TEST(ServerTest, HalfCloseDeliversAllPendingAnswers) {
   harness.Shutdown();
 }
 
+/// The integer value of `"name": N` in an admin stats reply, or -1 when
+/// the field is missing.
+long long StatsField(const std::string& reply, const std::string& name) {
+  const std::string key = "\"" + name + "\": ";
+  const std::size_t pos = reply.find(key);
+  if (pos == std::string::npos) return -1;
+  return std::stoll(reply.substr(pos + key.size()));
+}
+
+TEST(ServerTest, CacheHitReplyEqualsMissReplyApartFromCached) {
+  Graph g = WeightedChungLu(17);
+  const Graph reference = g;
+  EngineOptions engine_options;
+  engine_options.num_threads = 2;
+  ServerHarness harness(std::move(g), engine_options);
+  ASSERT_TRUE(harness.ok());
+  TestClient client(harness.port());
+  ASSERT_TRUE(client.connected());
+
+  // Unconstrained sum top-1: a whole k-core component, the answer shape
+  // whose re-formatting a hit must not pay for.
+  Query query;
+  query.k = 2;
+  query.r = 1;
+  const std::string request = R"({"id": 7, "k": 2, "r": 1, "f": "sum"})";
+  client.SendLine(request);
+  const std::string miss = client.ReadLine();
+  client.SendLine(request);
+  const std::string hit = client.ReadLine();
+  const std::string cached_false = "\"cached\": false";
+  const std::size_t flag = miss.find(cached_false);
+  ASSERT_NE(flag, std::string::npos) << miss;
+  std::string want = miss;
+  want.replace(flag, cached_false.size(), "\"cached\": true");
+  EXPECT_EQ(hit, want);
+  EXPECT_EQ(CommunitiesPortion(hit),
+            ExpectedCommunitiesPortion(reference, query));
+
+  // The stats reply shows the resident bytes next to the member charge.
+  const SearchResult direct = Solve(reference, query);
+  client.SendLine(R"({"id": "s", "admin": "stats"})");
+  const std::string stats_reply = client.ReadLine();
+  EXPECT_EQ(StatsField(stats_reply, "cache_charge"),
+            static_cast<long long>(direct.communities[0].members.size()))
+      << stats_reply;
+  EXPECT_EQ(StatsField(stats_reply, "cache_bytes"),
+            static_cast<long long>(FormatCommunitiesJson(direct).size()))
+      << stats_reply;
+
+  // Reweighting a member evicts the entry, and its bytes with it.
+  GraphDelta delta;
+  const VertexId member = direct.communities[0].members[0];
+  delta.weight_updates.push_back(
+      WeightUpdate{member, reference.weight(member) + 1.0});
+  const std::string delta_path =
+      ::testing::TempDir() + "/server_test_evict_delta.snap";
+  std::string error;
+  ASSERT_TRUE(SaveDeltaSnapshot(delta_path, delta, reference.fingerprint(),
+                                &error))
+      << error;
+  client.SendLine("{\"id\": \"d\", \"admin\": \"apply_delta\", \"path\": \"" +
+                  delta_path + "\"}");
+  const std::string apply_reply = client.ReadLine();
+  ASSERT_NE(apply_reply.find("\"ok\": true"), std::string::npos)
+      << apply_reply;
+  client.SendLine(R"({"id": "s2", "admin": "stats"})");
+  const std::string after_reply = client.ReadLine();
+  EXPECT_EQ(StatsField(after_reply, "cache_partial_evicted"), 1)
+      << after_reply;
+  EXPECT_EQ(StatsField(after_reply, "cache_bytes"), 0) << after_reply;
+  harness.Shutdown();
+}
+
+TEST(ServerTest, CacheOffHoldsNoReplyBytes) {
+  EngineOptions engine_options;
+  engine_options.num_threads = 1;
+  engine_options.cache_member_budget = 0;
+  ServerHarness harness(WeightedChungLu(17), engine_options);
+  ASSERT_TRUE(harness.ok());
+  TestClient client(harness.port());
+  ASSERT_TRUE(client.connected());
+  client.SendLine(R"({"id": 1, "k": 2, "r": 1, "f": "sum"})");
+  const std::string reply = client.ReadLine();
+  EXPECT_NE(reply.find("\"cached\": false"), std::string::npos) << reply;
+  client.SendLine(R"({"id": "s", "admin": "stats"})");
+  const std::string stats_reply = client.ReadLine();
+  EXPECT_EQ(StatsField(stats_reply, "cache_uncacheable"), 1) << stats_reply;
+  EXPECT_EQ(StatsField(stats_reply, "cache_bytes"), 0) << stats_reply;
+  harness.Shutdown();
+}
+
 }  // namespace
 }  // namespace ticl

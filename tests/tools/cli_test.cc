@@ -226,6 +226,7 @@ TEST_F(ToolsTest, UsageErrorsExitOne) {
       {TICL_QUERY_BIN, "--snapshot", snap, "--solver", "naive", "--s", "5"},
       {TICL_QUERY_BIN, "--snapshot", snap, "--solver", "min-peel", "--f",
        "sum"},
+      {TICL_QUERY_BIN, "--snapshot", snap, "--solver", "exact", "--k", "2"},
   };
   for (const std::vector<std::string>& args : cases) {
     const RunResult run = Run(args);
@@ -264,6 +265,11 @@ TEST_F(ToolsTest, FlagErrorsNameTheFlag) {
                  "max-components", "--f", "max", "--s", "9"})
                 .err.find("--solver max-components needs an unconstrained "
                           "query (no --s) with --f max"),
+            std::string::npos);
+  EXPECT_NE(Run({TICL_QUERY_BIN, "--snapshot", *base_, "--solver", "exact",
+                 "--k", "2"})
+                .err.find("--solver exact would enumerate more than "
+                          "100000000 subsets"),
             std::string::npos);
   // The serving tools always dispatch by the hardness map and always
   // invalidate partially: they have no solver or kill-switch flags.

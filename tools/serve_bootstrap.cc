@@ -106,11 +106,12 @@ std::unique_ptr<QueryEngine> OpenEngine(const EngineFlags& flags) {
 }
 
 std::string CacheSummary(const EngineStats& stats) {
-  char buffer[320];
+  char buffer[400];
   std::snprintf(buffer, sizeof(buffer),
                 "cache %llu hits (%llu negative) / %llu misses / %llu "
                 "coalesced / %llu uncacheable, %llu deltas applied (%llu "
-                "entries kept / %llu evicted by partial invalidation)",
+                "entries kept / %llu evicted by partial invalidation), "
+                "%llu members in %llu formatted bytes resident",
                 static_cast<unsigned long long>(stats.cache_hits),
                 static_cast<unsigned long long>(stats.cache_negative_hits),
                 static_cast<unsigned long long>(stats.cache_misses),
@@ -118,7 +119,9 @@ std::string CacheSummary(const EngineStats& stats) {
                 static_cast<unsigned long long>(stats.cache_uncacheable),
                 static_cast<unsigned long long>(stats.deltas_applied),
                 static_cast<unsigned long long>(stats.cache_partial_kept),
-                static_cast<unsigned long long>(stats.cache_partial_evicted));
+                static_cast<unsigned long long>(stats.cache_partial_evicted),
+                static_cast<unsigned long long>(stats.cache_charge),
+                static_cast<unsigned long long>(stats.cache_bytes));
   return buffer;
 }
 

@@ -60,7 +60,8 @@ std::unique_ptr<QueryEngine> OpenEngine(const EngineFlags& flags);
 
 /// The cache and delta counters of a tool's closing stats line: "cache N
 /// hits (N negative) / N misses / N coalesced / N uncacheable, N deltas
-/// applied (N entries kept / N evicted by partial invalidation)".
+/// applied (N entries kept / N evicted by partial invalidation), N
+/// members in N formatted bytes resident".
 std::string CacheSummary(const EngineStats& stats);
 
 }  // namespace ticl::tools

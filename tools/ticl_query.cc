@@ -173,7 +173,8 @@ bool ParseFlag(ticl::tools::ArgReader& args, CliOptions* options) {
 /// "" when `solver` can answer `query`, else why not (Solve would abort).
 /// naive and approx answer exactly the queries auto gives to improved;
 /// improved, min-peel and max-components the ones auto gives to them. The
-/// other solvers answer every valid query.
+/// other solvers answer every valid query, exact only below its subset
+/// ceiling, which needs the graph and is checked once it is loaded.
 std::string SolverFitProblem(ticl::SolverKind solver,
                              const ticl::Query& query) {
   using ticl::SolverKind;
@@ -482,6 +483,22 @@ int main(int argc, char** argv) {
   if (!query_problem.empty()) {
     std::fprintf(stderr, "error: invalid query: %s\n", query_problem.c_str());
     return 1;
+  }
+  if (solve_options.solver == ticl::SolverKind::kExact) {
+    // The exact solver's fit depends on the graph, so it is checked here
+    // rather than in SolverFitProblem: past the subset ceiling Solve
+    // would abort.
+    ticl::ExactOptions exact;
+    exact.core_index = solve_options.core_index;
+    if (ticl::ExactSubsetCount(*query_graph, options.query, exact) >
+        exact.max_subsets) {
+      std::fprintf(stderr,
+                   "error: --solver exact would enumerate more than %llu "
+                   "subsets (its ceiling) on this graph; raise --k, lower "
+                   "--s or use another solver\n",
+                   static_cast<unsigned long long>(exact.max_subsets));
+      return 1;
+    }
   }
 
   const ticl::SearchResult result =

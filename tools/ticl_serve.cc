@@ -17,6 +17,9 @@
 //    "communities": [{"influence": 42.0, "members": [1, 2, 3]}]}
 // or, for a malformed/invalid line:
 //   {"id": "q1", "error": "...", "kind": "parse"}
+// "elapsed_seconds" is the solve time of the answer; a cached answer
+// ("cached": true) repeats the time of the solve that produced it. Time
+// request latency at the client.
 //
 // Examples:
 //   ticl_query --generate standin:dblp --save-snapshot dblp.snap \
@@ -169,8 +172,10 @@ int main(int argc, char** argv) {
 
     for (PendingQuery& entry : pending) {
       const ticl::EngineResponse response = entry.future.get();
-      std::fputs(ticl::FormatResultLine(entry.id_json, entry.query,
-                                        *response.result, response.cache_hit)
+      std::fputs(ticl::FormatResultLine(
+                     entry.id_json, entry.query,
+                     response.result->stats.elapsed_seconds,
+                     response.cache_hit, *response.communities_json)
                      .c_str(),
                  stdout);
       ++answered;
