@@ -1,7 +1,11 @@
 #include "core/local_search.h"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <numeric>
+#include <ranges>
 #include <thread>
 #include <unordered_set>
 
@@ -24,7 +28,10 @@ class PrefixEvaluator {
   PrefixEvaluator(const Graph& g, const AggregationSpec& spec)
       : g_(&g), spec_(spec) {}
 
-  void Clear() { stack_.clear(); }
+  void Clear() {
+    stack_.clear();
+    sorted_.clear();
+  }
 
   void Push(VertexId v) {
     Frame frame;
@@ -42,7 +49,15 @@ class PrefixEvaluator {
     stack_.push_back(frame);
   }
 
-  void Pop() { stack_.pop_back(); }
+  void Pop() {
+    // The sorted view holds the first sorted_.size() frames; a popped
+    // frame among them leaves it too.
+    if (sorted_.size() == stack_.size()) {
+      sorted_.erase(std::lower_bound(sorted_.begin(), sorted_.end(),
+                                     stack_.back().vertex));
+    }
+    stack_.pop_back();
+  }
 
   std::size_t size() const { return stack_.size(); }
 
@@ -62,10 +77,25 @@ class PrefixEvaluator {
 
   /// Current candidate members sorted ascending, the form IsConnectedKCore
   /// (the "C is a connected k-core" test of the strategy procedures) takes.
-  VertexList SortedMembers() const {
-    VertexList out = Members();
-    std::sort(out.begin(), out.end());
-    return out;
+  /// The view is kept across Push/Pop and caught up here: the frames
+  /// pushed since the last call are sorted and merged in, so a test after
+  /// one push costs one insertion, and the first test of a large prefix
+  /// one sort.
+  const VertexList& SortedMembers() {
+    const std::size_t synced = sorted_.size();
+    if (synced + 1 == stack_.size()) {
+      const VertexId v = stack_.back().vertex;
+      sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), v), v);
+    } else if (synced < stack_.size()) {
+      for (std::size_t i = synced; i < stack_.size(); ++i) {
+        sorted_.push_back(stack_[i].vertex);
+      }
+      const auto middle =
+          sorted_.begin() + static_cast<std::ptrdiff_t>(synced);
+      std::sort(middle, sorted_.end());
+      std::inplace_merge(sorted_.begin(), middle, sorted_.end());
+    }
+    return sorted_;
   }
 
  private:
@@ -76,6 +106,7 @@ class PrefixEvaluator {
   const Graph* g_;
   AggregationSpec spec_;
   std::vector<Frame> stack_;
+  VertexList sorted_;  // stack_[0, sorted_.size()) members, ascending
 };
 
 /// Shared accept-side state for both strategies.
@@ -191,6 +222,23 @@ void RunAvgStrategy(const Graph& g, const Query& query, bool greedy,
   }
 }
 
+/// Balanced density w(H) / (2 w(H) - w(V)) is -inf unless w(H) > w(V)/2.
+/// True when no candidate of at most `s_eff` members of `core` can get
+/// there: even the s_eff heaviest core weights sum to at most w(V)/2. A
+/// prefix sum of m weights rounds up by at most about m ulps, which the
+/// (m + 2)-ulp allowance covers (as in ImprovedSearch's child bound).
+bool BalancedDensityOutOfReach(const Graph& g, const VertexList& core,
+                               VertexId s_eff) {
+  std::vector<Weight> heaviest(std::min<std::size_t>(s_eff, core.size()));
+  std::ranges::partial_sort_copy(
+      core | std::views::transform([&g](VertexId v) { return g.weight(v); }),
+      heaviest, std::greater<>());
+  const double sum = std::accumulate(heaviest.begin(), heaviest.end(), 0.0);
+  const double rounding = static_cast<double>(heaviest.size() + 2) *
+                          std::numeric_limits<double>::epsilon() * sum;
+  return 2.0 * (sum + rounding) <= g.total_weight();
+}
+
 }  // namespace
 
 SearchResult LocalSearch(const Graph& g, const Query& query,
@@ -211,6 +259,16 @@ SearchResult LocalSearch(const Graph& g, const Query& query,
   // Line 1: restrict to the maximal k-core.
   const VertexList core =
       IndexedMaximalKCore(options.core_index, g, query.k);
+  // Balanced density out of reach: the full scan would give every seed a
+  // neighbourhood of at least k + 1 members (a k-core component has k + 1
+  // vertices, and s_eff >= k + 1), see only -inf values and prune it.
+  if (query.aggregation.kind == Aggregation::kBalancedDensity &&
+      BalancedDensityOutOfReach(g, core, s_eff)) {
+    result.stats.seeds_processed = core.size();
+    result.stats.candidates_pruned = core.size();
+    result.stats.elapsed_seconds = timer.ElapsedSeconds();
+    return result;
+  }
   std::vector<std::uint8_t> in_core(g.num_vertices(), 0);
   for (const VertexId v : core) in_core[v] = 1;
   std::vector<std::uint8_t> removed(g.num_vertices(), 0);

@@ -20,8 +20,17 @@
 // so a hub in C costs O(|C| log deg), never its whole adjacency list; the
 // neighbourhood BFS's visited set grows with the vertices it collects.
 // Per-seed work therefore follows the neighbourhood, not the degrees of
-// the hubs inside it. Each prefix is tested from scratch, so a seed with
-// an s_eff-vertex neighbourhood may run up to s_eff - k such tests.
+// the hubs inside it. A seed with an s_eff-vertex neighbourhood may run up
+// to s_eff - k such tests; the candidate's sorted member list the test
+// takes is kept across pushes and pops rather than rebuilt per test, so a
+// test after one push adds one insertion and a failing test mostly stops
+// at its first member below degree k.
+//
+// Balanced density is -inf unless w(H) > w(V)/2. When even the s_eff
+// heaviest maximal-k-core weights sum to at most w(V)/2 (with a rounding
+// allowance), no candidate can be finite: the query answers empty at once,
+// counting every core vertex as a processed and pruned seed exactly as
+// the full scan would.
 //
 // Documented deviations from the paper's Algorithm 4 listing: the result
 // list starts empty rather than holding the oversized k-core components,

@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "algo/weights.h"
 #include "core/exact_search.h"
 #include "core/verification.h"
 #include "gen/chung_lu.h"
 #include "gen/planted_communities.h"
+#include "graph/graph_builder.h"
 #include "testing/builders.h"
 #include "util/fnv1a.h"
 
@@ -216,7 +221,8 @@ void FoldResult(const SearchResult& result, Fnv1a* h) {
 // faster k-core test or neighbourhood BFS that alters any answer or
 // counter shows here. Balanced density is left out: it needs
 // w(H) above half of w(V), which no neighbourhood here reaches, so every
-// answer would be empty without a single k-core test.
+// answer would be empty without a single k-core test. The skewed grid
+// below covers it.
 TEST(LocalSearchGoldenTest, HubHeavyGridMatchesPinnedHashes) {
   ChungLuOptions options;
   options.num_vertices = 1500;
@@ -301,6 +307,122 @@ TEST(LocalSearchGoldenTest, HubHeavyGridMatchesPinnedHashes) {
         << row.name << (row.tonic ? " TONIC" : " TIC")
         << (row.greedy ? " greedy" : " random") << ": got 0x" << std::hex
         << h.Digest() << "ULL";
+  }
+}
+
+// The hub-heavy graph above with its 16 highest-degree vertices made
+// heavy: the other vertices weigh 9 hubs' worth, so 10 hubs hold less than
+// half of w(V) and 15 hold more. Balanced density is finite only on
+// candidates above w(V)/2.
+Graph HubHeavyWithHeavyHubs() {
+  ChungLuOptions options;
+  options.num_vertices = 1500;
+  options.target_average_degree = 16.0;
+  options.gamma = 2.1;
+  options.seed = 11;
+  Graph g = GenerateChungLu(options);
+  AssignWeights(&g, WeightScheme::kPageRank);
+  std::vector<VertexId> by_degree(g.num_vertices());
+  std::iota(by_degree.begin(), by_degree.end(), VertexId{0});
+  std::sort(by_degree.begin(), by_degree.end(),
+            [&g](VertexId a, VertexId b) {
+              if (g.degree(a) != g.degree(b)) {
+                return g.degree(a) > g.degree(b);
+              }
+              return a < b;
+            });
+  std::vector<Weight> weights(g.weights().begin(), g.weights().end());
+  constexpr std::size_t kHubs = 16;
+  double rest = 0.0;
+  for (std::size_t i = kHubs; i < by_degree.size(); ++i) {
+    rest += weights[by_degree[i]];
+  }
+  for (std::size_t i = 0; i < kHubs; ++i) {
+    weights[by_degree[i]] = rest / 9.0 * (1.0 + 0.01 * static_cast<double>(i));
+  }
+  g.SetWeights(std::move(weights));
+  return g;
+}
+
+// Golden balanced-density answers on the weight-skewed graph, same grid and
+// hash as above. At s = k + 4 no s-vertex candidate can pass w(V)/2, so
+// every seed is pruned without a k-core test; unconstrained and at
+// s = k + 12 the neighbourhoods that gather enough hubs yield communities
+// and the rest are pruned.
+TEST(LocalSearchGoldenTest, BalancedDensitySkewedGridMatchesPinnedHashes) {
+  const Graph g = HubHeavyWithHeavyHubs();
+  struct Row {
+    bool tonic;
+    bool greedy;
+    std::uint64_t expected;
+  };
+  const Row rows[] = {
+      {false, true, 0x2b072b1fe8de2f0dULL},
+      {false, false, 0xfcccfdca66c63d67ULL},
+      {true, true, 0xe183cbe2188de695ULL},
+      {true, false, 0xe626265535036dfdULL},
+  };
+  for (const Row& row : rows) {
+    Fnv1a h;
+    for (const VertexId k : {3u, 6u}) {
+      for (const std::uint32_t r : {1u, 5u}) {
+        for (const VertexId extra : {0u, 4u, 12u}) {
+          Query query = MakeQuery(k, r, extra == 0 ? 0 : k + extra,
+                                  AggregationSpec::BalancedDensity());
+          query.non_overlapping = row.tonic;
+          LocalSearchOptions ls_options;
+          ls_options.greedy = row.greedy;
+          FoldResult(LocalSearch(g, query, ls_options), &h);
+        }
+      }
+    }
+    EXPECT_EQ(h.Digest(), row.expected)
+        << (row.tonic ? "TONIC" : "TIC")
+        << (row.greedy ? " greedy" : " random") << ": got 0x" << std::hex
+        << h.Digest() << "ULL";
+  }
+}
+
+// K6 {0..5} with weights {2, 2, 2, 2, 1, 1} beside six isolated unit
+// vertices: w(V) = 16, and the four heaviest 3-core vertices weigh exactly
+// w(V)/2, so every s = 4 candidate has a zero denominator.
+Graph K6BesideIsolatedVertices(Weight heaviest) {
+  GraphBuilder b;
+  b.SetNumVertices(12);
+  for (VertexId u = 0; u < 6; ++u) {
+    for (VertexId v = u + 1; v < 6; ++v) b.AddEdge(u, v);
+  }
+  Graph g = b.Build();
+  g.SetWeights({heaviest, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1});
+  return g;
+}
+
+TEST(LocalSearchTest, BalancedDensityAtHalfOfTotalWeightIsEmpty) {
+  const Query base = MakeQuery(3, 2, 4, AggregationSpec::BalancedDensity());
+  for (const bool tonic : {false, true}) {
+    for (const bool greedy : {true, false}) {
+      Query query = base;
+      query.non_overlapping = tonic;
+      LocalSearchOptions options;
+      options.greedy = greedy;
+      const std::string config = std::string(tonic ? "TONIC" : "TIC") +
+                                 (greedy ? " greedy" : " random");
+
+      const SearchResult at_half =
+          LocalSearch(K6BesideIsolatedVertices(2.0), query, options);
+      EXPECT_TRUE(at_half.communities.empty()) << config;
+      EXPECT_EQ(at_half.stats.seeds_processed, 6u) << config;
+      EXPECT_EQ(at_half.stats.candidates_pruned, 6u) << config;
+      EXPECT_EQ(at_half.stats.peel_operations, 0u) << config;
+
+      // One vertex 2^-20 heavier lifts {0, 1, 2, 3} just above w(V)/2.
+      const Graph heavier = K6BesideIsolatedVertices(2.0 + 0x1p-20);
+      const SearchResult above = LocalSearch(heavier, query, options);
+      ASSERT_FALSE(above.communities.empty()) << config;
+      EXPECT_EQ(above.communities[0].members, Members({0, 1, 2, 3}))
+          << config;
+      EXPECT_EQ(ValidateResult(heavier, query, above), "") << config;
+    }
   }
 }
 
